@@ -26,7 +26,7 @@ from . import expressions as ex
 from .errors import StateSpaceTooLarge, UnboundVariable
 from .evolution import HamiltonianSchedule, evolve
 from .expressions import BindingSet
-from .operators import QuantumState, expectation, state_from_dict, state_to_dict
+from .operators import QuantumState, born_split, expectation, inverse_cdf, state_from_dict, state_to_dict
 
 #: exact enumeration refuses to expand more outcome tuples than this
 ENUMERATION_BUDGET = 10**6
@@ -207,28 +207,17 @@ def _group_branches(group: Sequence[str], bindings: BindingSet, state: QuantumSt
     Measurements are applied in declaration order with collapse, so the
     probability of a branch is the product of conditional Born probabilities.
     """
-    branches = [(1.0, np.array(state.amplitudes), {})]
-    for name in group:
+    nodes, probs, values = state.amplitudes[None, :], np.ones(1), {}
+    for j, name in enumerate(group):
         spectrum = bindings.embedded(name).spectrum
-        projs = spectrum.projectors()
-        nxt = []
-        for prob, amps, values in branches:
-            for g, p in enumerate(projs):
-                w = p @ amps
-                q = float(np.vdot(w, w).real)
-                if q <= _BRANCH_PRUNE:
-                    continue
-                nxt.append(
-                    (
-                        prob * q,
-                        w / math.sqrt(q),
-                        {**values, name: float(spectrum.group_values[g])},
-                    )
-                )
-        branches = nxt
-        if len(branches) > ENUMERATION_BUDGET:
-            raise StateSpaceTooLarge(f"more than {ENUMERATION_BUDGET} outcome branches")
-    return [(p, values) for p, _, values in branches]
+        weights, children = born_split(spectrum, nodes)
+        rows, kids = np.nonzero(weights > _BRANCH_PRUNE)
+        probs = probs[rows] * weights[rows, kids]
+        values = {k: v[rows] for k, v in values.items()}
+        values[name] = spectrum.group_values[kids]
+        if j + 1 < len(group):
+            nodes = children(rows, kids)
+    return [(float(p), {k: float(v[i]) for k, v in values.items()}) for i, p in enumerate(probs)]
 
 
 def enumerate_expectation(spec: ExperimentSpec) -> float:
@@ -338,23 +327,22 @@ class ExperimentReport:
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
 
-def _batch_measure(states: np.ndarray, spectrum, u: np.ndarray):
-    """Vectorized projective measurement of every row state.
+def _sample_copy(spectra, state: np.ndarray, columns) -> list[np.ndarray]:
+    """Per-trial outcome values of each measurement on one copy.
 
-    Row i consumes uniform u[i]; outcome selection inverts the cumulative
-    Born distribution over outcome groups, matching the scalar
-    `measure_projective` draw for draw.
+    Each trial walks the copy's outcome tree, carrying the index of its node;
+    measurement j takes the next uniform column from `columns`.  Only
+    children some trial reached are built, so nodes never outnumber trials.
     """
-    projs = np.stack(spectrum.projectors())
-    projected = np.einsum("gij,nj->ngi", projs, states)
-    probs = np.einsum("ngi,ngi->ng", projected.conj(), projected).real
-    probs /= probs.sum(axis=1, keepdims=True)
-    cum = np.cumsum(probs, axis=1)
-    idx = np.minimum((cum <= u[:, None]).sum(axis=1), len(projs) - 1)
-    chosen = projected[np.arange(states.shape[0]), idx]
-    norms = np.linalg.norm(chosen, axis=1, keepdims=True)
-    values = spectrum.group_values[idx]
-    return values, chosen / norms
+    nodes, at, out = state[None, :], 0, []
+    for j, (spectrum, u) in enumerate(zip(spectra, columns)):
+        weights, children = born_split(spectrum, nodes)
+        idx = inverse_cdf(weights, at, u)
+        out.append(spectrum.group_values[idx])
+        if j + 1 < len(spectra):
+            reached, at = np.unique(at * weights.shape[1] + idx, return_inverse=True)
+            nodes = children(*np.divmod(reached, weights.shape[1]))
+    return out
 
 
 def run_trials(spec: ExperimentSpec, n: int, seed: int, keep_trials: bool = False) -> ExperimentReport:
@@ -363,28 +351,24 @@ def run_trials(spec: ExperimentSpec, n: int, seed: int, keep_trials: bool = Fals
     Trial i draws its randomness from row i of a uniform table generated
     once from `seed` (one column per measurement slot, target last), so the
     outcome of a trial is a function of (seed, trial index) alone and the
-    report does not depend on execution order.
+    report does not depend on execution order.  The target is resolved and
+    sampled first, so a non-simple `f` fails before any trial.  Sampling each
+    copy's outcome tree costs O(nodes*d^2 + n*G) time per slot and
+    O(min(n, branches)*d) memory.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    slots = spec.plan.slots()
-    uniforms = np.random.default_rng(seed).random((n, len(slots) + 1))
+    target_op = spec.target_operator()
+    v2 = spec.state_at_t2()
+    uniforms = np.random.default_rng(seed).random((n, len(spec.plan.slots()) + 1))
+    (target_vals,) = _sample_copy([target_op.spectrum], v2.amplitudes, [uniforms[:, -1]])
 
+    columns = iter(uniforms.T)
     v1 = spec.state_at_t1().amplitudes
     values: dict[str, np.ndarray] = {}
-    col = 0
     for group in spec.plan.groups:
-        states = np.tile(v1, (n, 1))
-        for name in group:
-            spectrum = spec.bindings.embedded(name).spectrum
-            values[name], states = _batch_measure(states, spectrum, uniforms[:, col])
-            col += 1
-
-    v2 = spec.state_at_t2()
-    target_op = spec.target_operator()
-    target_vals, _ = _batch_measure(
-        np.tile(v2.amplitudes, (n, 1)), target_op.spectrum, uniforms[:, col]
-    )
+        spectra = [spec.bindings.embedded(name).spectrum for name in group]
+        values.update(zip(group, _sample_copy(spectra, v1, columns)))
 
     f_vals = np.asarray(ex.evaluate(spec.f, values), dtype=float)
     if f_vals.ndim == 0:

@@ -83,17 +83,15 @@ class Spectrum:
         return self.eigenvalues.shape[0]
 
     def projector(self, group: int) -> np.ndarray:
+        """Dense projector onto a group eigenspace, for reference checks; measurement never builds it."""
         cols = self.eigenvectors[:, list(self.outcome_groups[group])]
         p = cols @ cols.conj().T
         p.setflags(write=False)
         return p
 
     def projectors(self) -> list[np.ndarray]:
-        cached = getattr(self, "_projectors", None)
-        if cached is None:
-            cached = [self.projector(g) for g in range(len(self.outcome_groups))]
-            object.__setattr__(self, "_projectors", cached)
-        return cached
+        """`projector(g)` for every outcome group; G dense d x d arrays, not cached."""
+        return [self.projector(g) for g in range(len(self.outcome_groups))]
 
 
 class HermitianOperator:
@@ -322,15 +320,40 @@ class MeasurementOutcome:
     outcome_index: int
 
 
+def born_split(spectrum: Spectrum, states: np.ndarray):
+    """Born rule and collapse for k row states, in the eigenbasis of `spectrum`.
+
+    Rotates once, c = V^dag psi, and returns the (k, G) unnormalised weights
+    (sums of |c_i|^2 over each group's contiguous columns) and `children(rows,
+    groups)`, which builds only the collapsed states V[:, g] c[g] / ||c[g]|| asked for.
+    """
+    if states.shape[1] != spectrum.dim:
+        raise DimMismatch(f"operator dim {spectrum.dim} vs state dim {states.shape[1]}")
+    coords = states @ spectrum.eigenvectors.conj()
+    starts = [g[0] for g in spectrum.outcome_groups]
+    weights = np.add.reduceat(coords.real**2 + coords.imag**2, starts, axis=1)
+
+    def children(rows: np.ndarray | int, groups: np.ndarray) -> np.ndarray:
+        labels = np.array([k for k, g in enumerate(spectrum.outcome_groups) for _ in g])
+        kept = np.where(labels == groups[:, None], coords[rows], 0)
+        return (kept @ spectrum.eigenvectors.T) / np.sqrt(weights[rows, groups])[:, None]
+
+    return weights, children
+
+
+def inverse_cdf(weights: np.ndarray, rows: np.ndarray | int, u: np.ndarray) -> np.ndarray:
+    """Outcome groups u draws from the normalised cumulative weights of `rows` (an index or array).
+
+    The count of sums <= u[t] (`searchsorted`, side="right"); leaving out the last clamps it to G - 1.
+    """
+    cum = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
+    return (cum[rows, :-1] <= u[:, None]).sum(axis=1)
+
+
 def outcome_probabilities(v: QuantumState, h: HermitianOperator) -> np.ndarray:
-    """Born probabilities of each outcome group of `h` in state `v`."""
-    s = h.spectrum
-    if s.dim != v.dim:
-        raise DimMismatch(f"operator dim {s.dim} vs state dim {v.dim}")
-    probs = np.array(
-        [float(np.linalg.norm(p @ v.amplitudes) ** 2) for p in s.projectors()]
-    )
-    return probs / probs.sum()
+    """Born probabilities of each outcome group of `h` in state `v` (`born_split`, normalised)."""
+    weights = born_split(h.spectrum, v.amplitudes[None, :])[0][0]
+    return weights / weights.sum()
 
 
 def measure_projective(v: QuantumState, h: HermitianOperator, rng: np.random.Generator) -> MeasurementOutcome:
@@ -338,20 +361,13 @@ def measure_projective(v: QuantumState, h: HermitianOperator, rng: np.random.Gen
 
     Consumes exactly one uniform draw from `rng` and selects the outcome by
     inverting the cumulative Born distribution over outcome groups, taken in
-    spectrum order.
+    spectrum order: the one-state case of `born_split` and `inverse_cdf`.
     """
     s = h.spectrum
-    if s.dim != v.dim:
-        raise DimMismatch(f"operator dim {s.dim} vs state dim {v.dim}")
-    projected = [p @ v.amplitudes for p in s.projectors()]
-    probs = np.array([float(np.linalg.norm(w) ** 2) for w in projected])
-    probs = probs / probs.sum()
-    u = float(rng.random())
-    idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    idx = min(idx, len(probs) - 1)
-    w = projected[idx]
-    collapsed = QuantumState(w / np.linalg.norm(w), v.factor_dims)
-    return MeasurementOutcome(float(s.group_values[idx]), collapsed, idx)
+    weights, children = born_split(s, v.amplitudes[None, :])
+    idx = inverse_cdf(weights, 0, np.array([rng.random()]))
+    collapsed = QuantumState(children(0, idx)[0], v.factor_dims)
+    return MeasurementOutcome(float(s.group_values[idx[0]]), collapsed, int(idx[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from avcp.cli import main
-from avcp.operators import matrix_to_dict
+from avcp.experiments import ExperimentSpec
+from avcp.expressions import BindingSet
+from avcp.operators import HermitianOperator, make_rng, matrix_to_dict, random_hermitian, random_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -107,6 +109,17 @@ def test_verify_angular_passes(capsys):
     assert report["passed"] is True
 
 
+def test_verify_angular_passes_for_seeds_0_to_63(capsys):
+    for seed in range(64):
+        assert main(["verify", "angular", "--seed", str(seed)]) == 0, seed
+    capsys.readouterr()
+
+
+def test_verify_all_seed_17_exits_zero(capsys):
+    assert main(["verify", "all", "--seed", "17"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 def test_verify_unknown_suite(capsys):
     rc = main(["verify", "nonsense"])
     assert rc == 1
@@ -172,6 +185,24 @@ def _run_cli_with_env(extra_env, *args):
         [sys.executable, "-m", "avcp.cli", *args], capture_output=True, text=True, env=env
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_experiment_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # d = 64 is large enough for multithreaded BLAS kernels to engage
+    rng = make_rng(64)
+    a = random_hermitian(64, rng)
+    bind = BindingSet({"A": a, "A2": HermitianOperator(a.matrix), "B": random_hermitian(64, rng)})
+    spec = ExperimentSpec(random_state(64, rng), bind, ["A", "A2", "B"], "A*A2 + B")
+    assert spec.plan.groups == (("A", "A2"), ("B",))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**spec.to_dict(), "n_trials": 20000, "seed": 5}))
+    outs = []
+    for threads in ("1", "2", "4"):
+        env = {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        rc, out, err = _run_cli_with_env(env, "experiment", str(path))
+        assert rc == 0, err
+        outs.append(out)
+    assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 # --- evolve -----------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from avcp import experiments
 from avcp.errors import NonSimpleExpression, StateSpaceTooLarge, UnboundVariable
 from avcp.evolution import HamiltonianSchedule
 from avcp.experiments import (
@@ -17,6 +19,7 @@ from avcp.expressions import BindingSet
 from avcp.operators import (
     HermitianOperator,
     QuantumState,
+    Spectrum,
     expectation,
     hermitian_from_matrix,
     make_rng,
@@ -183,6 +186,18 @@ def test_nonsimple_f_without_target_is_rejected():
         run_trials(spec, 10, 0)
 
 
+def test_nonsimple_f_fails_before_any_sampling(monkeypatch):
+    def sampled(*args):
+        raise AssertionError("sampled before the target operator was resolved")
+
+    monkeypatch.setattr(experiments, "born_split", sampled)
+    sx, sy, _ = _pauli()
+    state = random_state(2, make_rng(13))
+    spec = ExperimentSpec(state, BindingSet({"A": sx, "B": sy}), ["A", "B"], "A*B")
+    with pytest.raises(NonSimpleExpression):
+        run_trials(spec, 100_000, 0)
+
+
 def test_avcp_property_random_simple_ensembles():
     rng = make_rng(14)
     for _ in range(25):
@@ -266,6 +281,25 @@ def test_reports_are_bit_reproducible():
     assert r1.to_dict() == r2.to_dict()
     r3 = run_trials(spec, 5000, seed=10)
     assert r3.to_dict() != r1.to_dict()
+
+
+def test_large_split_runs_in_bounded_memory_without_projectors(monkeypatch):
+    # one stacked projector set alone would be 256 outcome groups of 256x256 (268 MB)
+    def dense(self):
+        raise AssertionError("dense projectors built")
+
+    monkeypatch.setattr(Spectrum, "projectors", dense)
+    rng = make_rng(31)
+    bind = BindingSet({"A": random_hermitian(256, rng), "B": random_hermitian(256, rng)})
+    spec = ExperimentSpec(random_state(256, rng), bind, ["A", "B"], "A + 0.5*B")
+    tracemalloc.start()
+    try:
+        report = run_trials(spec, 8, seed=3)  # samples, and enumerates the exact E[f]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds
+    assert peak < 64 * 2**20, f"peak traced memory {peak / 2**20:.1f} MB"
 
 
 def test_stderr_zero_for_single_trial():
