@@ -79,6 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", nargs="?", default="all")
     p.add_argument("--bindings", default=None, help="also validate this bindings file")
+    p.set_defaults(action="verify")
     _add_common(p)
 
     p = sub.add_parser("demo", help="run a named demonstration")
@@ -93,10 +94,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kinematics", help="position/momentum representation checks")
     p.add_argument("action", nargs="?", default="verify")
+    p.set_defaults(suite="kinematics", bindings=None)
     _add_common(p)
 
     p = sub.add_parser("angular", help="angular momentum checks")
     p.add_argument("action", nargs="?", default="verify")
+    p.set_defaults(suite="angular", bindings=None)
     _add_common(p)
 
     p = sub.add_parser("poisson", help="bracket rule checks")
@@ -150,7 +153,9 @@ def _dispatch(args, alpha: float) -> int:
         _emit(report.to_dict(), args.format, args.out, text_renderer=lambda d: report.to_text())
         return 0
 
-    if args.command == "verify":
+    if args.command in ("verify", "kinematics", "angular"):
+        if args.action != "verify":
+            raise ValueError(f"unknown {args.command} action {args.action!r}")
         extra = _load_json(args.bindings) if args.bindings else None
         report = verify_mod.run_suite(
             args.suite,
@@ -174,24 +179,6 @@ def _dispatch(args, alpha: float) -> int:
         final = evolve(state, sched, args.steps)
         _emit(state_to_dict(final), args.format, args.out)
         return 0
-
-    if args.command == "kinematics":
-        if args.action != "verify":
-            raise ValueError(f"unknown kinematics action {args.action!r}")
-        report = verify_mod.run_suite(
-            "kinematics", seed=args.seed, alpha=alpha, levels=args.levels, dims=_parse_dims(args.dims)
-        )
-        _emit(report, args.format, args.out, text_renderer=verify_mod.render_text)
-        return 0 if report["passed"] else 3
-
-    if args.command == "angular":
-        if args.action != "verify":
-            raise ValueError(f"unknown angular action {args.action!r}")
-        report = verify_mod.run_suite(
-            "angular", seed=args.seed, alpha=alpha, levels=args.levels, dims=_parse_dims(args.dims)
-        )
-        _emit(report, args.format, args.out, text_renderer=verify_mod.render_text)
-        return 0 if report["passed"] else 3
 
     if args.command == "poisson":
         from .kinematics import build_fock

@@ -15,7 +15,6 @@ enumerated value.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -202,7 +201,7 @@ class ExperimentSpec:
 
 
 def _group_branches(group: Sequence[str], bindings: BindingSet, state: QuantumState):
-    """All outcome sequences of one copy: (probability, {name: value}).
+    """All outcome sequences of one copy, as arrays: (probabilities, {name: values}).
 
     Measurements are applied in declaration order with collapse, so the
     probability of a branch is the product of conditional Born probabilities.
@@ -217,11 +216,16 @@ def _group_branches(group: Sequence[str], bindings: BindingSet, state: QuantumSt
         values[name] = spectrum.group_values[kids]
         if j + 1 < len(group):
             nodes = children(rows, kids)
-    return [(float(p), {k: float(v[i]) for k, v in values.items()}) for i, p in enumerate(probs)]
+    return probs, values
 
 
 def enumerate_expectation(spec: ExperimentSpec) -> float:
-    """Exact E[f]: independent copies across groups, sequential collapse within."""
+    """Exact E[f]: independent copies across groups, sequential collapse within.
+
+    Copy g's branches lie along axis g, so one evaluation of f covers every
+    outcome tuple.  The copies' probability vectors are then contracted in
+    from the last axis, so no sum runs over more than one copy's branches.
+    """
     budget = 1
     for group in spec.plan.groups:
         for name in group:
@@ -230,15 +234,14 @@ def enumerate_expectation(spec: ExperimentSpec) -> float:
             raise StateSpaceTooLarge(f"more than {ENUMERATION_BUDGET} outcome tuples")
     v1 = spec.state_at_t1()
     per_group = [_group_branches(g, spec.bindings, v1) for g in spec.plan.groups]
-    total = 0.0
-    for combo in itertools.product(*per_group):
-        prob = 1.0
-        values: dict[str, float] = {}
-        for p, vals in combo:
-            prob *= p
-            values.update(vals)
-        total += prob * float(ex.evaluate(spec.f, values))
-    return total
+    values: dict[str, np.ndarray] = {}
+    for g, (_, vals) in enumerate(per_group):
+        shape = (1,) * g + (-1,) + (1,) * (len(per_group) - g - 1)
+        values.update((name, v.reshape(shape)) for name, v in vals.items())
+    total = np.broadcast_to(ex.evaluate(spec.f, values), tuple(len(p) for p, _ in per_group))
+    for probs, _ in reversed(per_group):
+        total = total @ probs
+    return float(total)
 
 
 @dataclass(frozen=True)

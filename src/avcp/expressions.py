@@ -330,7 +330,7 @@ class PolynomialForm:
         return frozenset(out)
 
     def evaluate(self, assignment: Mapping[str, object]):
-        return _eval_canonical(self, assignment)
+        return evaluate(self.to_expr(), assignment)
 
     def to_expr(self) -> ObservableExpr:
         """Reconstruct an explicit expression (used for display and reuse)."""
@@ -459,20 +459,6 @@ def _apply_numeric_func(name: str, x):
             raise DomainError("sqrt of a negative outcome value")
         return np.sqrt(x)
     return {"cos": np.cos, "sin": np.sin, "exp": np.exp}[name](x)
-
-
-def _eval_canonical(form: PolynomialForm, assignment: Mapping[str, object]):
-    total = 0.0
-    for m, c in form.terms:
-        val = c
-        for name, k in m.var_powers:
-            if name not in assignment:
-                raise UnboundVariable(f"no value for variable {name!r}")
-            val = val * assignment[name] ** k
-        for f, k in m.func_powers:
-            val = val * _apply_numeric_func(f.name, _eval_canonical(f.arg, assignment)) ** k
-        total = total + val
-    return total
 
 
 # ---------------------------------------------------------------------------
