@@ -3,8 +3,6 @@
 An expression over named measurements quantizes only if it is *simple*: its
 polynomial expansion never multiplies outcomes of non-commuting measurements.
 Sums always pass; products need commuting (or disjoint-subsystem) operators.
-The popular fallback of symmetrizing non-commuting products is shown to be
-self-contradictory, which is why it is rejected rather than adopted.
 """
 
 import numpy as np
@@ -14,7 +12,6 @@ from avcp import (
     HermitianOperator,
     NonSimpleExpression,
     classify_simple,
-    demonstrate_inconsistency,
     expand_polynomial,
     parse,
     quantize,
@@ -55,9 +52,4 @@ except NonSimpleExpression as exc:
     print(f"quantize('A*B') raises: {exc}")
 print()
 
-# --- the symmetrization rule eats itself ------------------------------------
-report = demonstrate_inconsistency(sx, sy)
-print("Symmetrized-product quantizations of A^2*B:")
-print("  grouped A*(A*B):\n", np.round(report.nested.matrix, 6))
-print("  grouped (A^2)*B:\n", np.round(report.flat.matrix, 6))
-print(f"  disagreement (max-norm): {report.difference_norm:.6f}")
+print("Why symmetrizing non-commuting products is rejected: avcp demo hermitization --format text")

@@ -3,8 +3,7 @@
 The ladder construction produces, for every dimension, a triple with
 [Lx, Ly] = i*alpha*Lz (and cyclic), a scalar squared sum, and rotation
 generators R_a = L_a/alpha.  For polynomial observables on a canonical pair,
-i*alpha*Op({F, H}) = [Op(F), Op(H)] whenever F, H, and {F, H} are all simple;
-the pair x^3, p^3 shows the rule genuinely needs that proviso.
+i*alpha*Op({F, H}) = [Op(F), Op(H)] whenever F, H, and {F, H} are all simple.
 """
 
 import numpy as np
@@ -14,7 +13,6 @@ from avcp import (
     check_dirac_rule,
     check_rotation_identity,
     commutant_scalar_residual,
-    counterexample_report,
     make_rng,
     parse_canonical,
     poisson_bracket,
@@ -58,7 +56,4 @@ try:
     check_dirac_rule(f3, h3, rep)
 except NonSimpleInput as exc:
     print(f"  rejected: {exc}")
-ce = counterexample_report(1.0, rep)
-print("  symmetrizing the bracket anyway misses the commutator by a constant:")
-print(f"    fitted scalar {ce.scalar:+.9f} (|.| = {ce.scalar_magnitude:.9f} = 3 gamma alpha^3)")
-print(f"    off-scalar residual {ce.off_scalar_residual:.2e} on the safe {ce.safe_dim}x{ce.safe_dim} block")
+print("Why the rule needs that proviso: avcp demo poisson-counterexample --format text")

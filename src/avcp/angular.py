@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, DimTooSmall
-from .evolution import propagator
+from .evolution import propagate, propagator
 from .operators import HermitianOperator, QuantumState, expectation, max_norm
 
 
@@ -66,10 +66,9 @@ def expectation_vector(t: SpinTriple, v: QuantumState) -> np.ndarray:
 
 
 def _rotated(t: SpinTriple, axis: str, angle: float, v: QuantumState) -> QuantumState:
-    # no renormalization: the propagator is unitary to machine precision and
+    # no renormalization: the rotation is unitary to machine precision and
     # renormalizing would blur the exact zero at angle 0
-    u = propagator(t.component(axis), angle, t.alpha)
-    return QuantumState(u @ v.amplitudes)
+    return QuantumState(propagate(t.component(axis), angle, v.amplitudes, t.alpha))
 
 
 def check_rotation_identity(t: SpinTriple, v: QuantumState, eps: float) -> float:
@@ -100,9 +99,7 @@ def check_frame_rotation_covariance(t: SpinTriple, v: QuantumState, eps: float) 
 
     up to O(eps^2); the residual max-norm scales quadratically.
     """
-    rz = rotation_generator("z", t)
-    rotated = QuantumState(propagator(rz, eps, 1.0) @ v.amplitudes)
-    lhs = expectation_vector(t, rotated)
+    lhs = expectation_vector(t, _rotated(t, "z", eps, v))
     m = np.array([[1.0, -eps, 0.0], [eps, 1.0, 0.0], [0.0, 0.0, 1.0]])
     rhs = m @ expectation_vector(t, v)
     return max_norm(lhs - rhs)

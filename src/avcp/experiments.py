@@ -354,15 +354,17 @@ def run_trials(spec: ExperimentSpec, n: int, seed: int, keep_trials: bool = Fals
     Trial i draws its randomness from row i of a uniform table generated
     once from `seed` (one column per measurement slot, target last), so the
     outcome of a trial is a function of (seed, trial index) alone and the
-    report does not depend on execution order.  The target is resolved and
-    sampled first, so a non-simple `f` fails before any trial.  Sampling each
-    copy's outcome tree costs O(nodes*d^2 + n*G) time per slot and
-    O(min(n, branches)*d) memory.
+    report does not depend on execution order.  The exact values come first,
+    so a non-simple `f` or too many outcome tuples fail before any trial.
+    Sampling each copy's outcome tree costs O(nodes*d^2 + n*G) time per slot
+    and O(min(n, branches)*d) memory.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     target_op = spec.target_operator()
     v2 = spec.state_at_t2()
+    exact_lhs = expectation(target_op, v2)
+    exact_rhs = enumerate_expectation(spec)
     uniforms = np.random.default_rng(seed).random((n, len(spec.plan.slots()) + 1))
     (target_vals,) = _sample_copy([target_op.spectrum], v2.amplitudes, [uniforms[:, -1]])
 
@@ -384,8 +386,6 @@ def run_trials(spec: ExperimentSpec, n: int, seed: int, keep_trials: bool = Fals
 
     sampled_lhs, se_lhs = _mean_se(target_vals)
     sampled_rhs, se_rhs = _mean_se(f_vals)
-    exact_lhs = expectation(target_op, v2)
-    exact_rhs = enumerate_expectation(spec)
     residual = abs(exact_lhs - exact_rhs)
     tol = AVCP_RTOL * (1.0 + abs(exact_lhs))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimTooSmall, UnsafeState
-from .evolution import propagator
+from .evolution import propagate, propagator
 from .operators import HermitianOperator, QuantumState, commutator, expectation
 
 #: maximum total weight on the top boundary levels for a state to count safe
@@ -79,7 +79,7 @@ def displacement_shift_residual(f: FockTruncation, v: QuantumState, eps: float) 
     """|<x> after displacement - (<x> before + eps)| on a safe state."""
     _require_safe(v)
     before = expectation(f.x_op, v)
-    shifted = QuantumState.normalized(displacement_unitary(f, eps) @ v.amplitudes)
+    shifted = QuantumState.normalized(propagate(f.p_op, eps, v.amplitudes, f.alpha))
     after = expectation(f.x_op, shifted)
     return abs(after - (before + eps))
 
@@ -87,7 +87,7 @@ def displacement_shift_residual(f: FockTruncation, v: QuantumState, eps: float) 
 def momentum_invariance_residual(f: FockTruncation, v: QuantumState, eps: float) -> float:
     """|<p> after displacement - <p> before|; exactly zero in exact arithmetic."""
     before = expectation(f.p_op, v)
-    shifted = QuantumState.normalized(displacement_unitary(f, eps) @ v.amplitudes)
+    shifted = QuantumState.normalized(propagate(f.p_op, eps, v.amplitudes, f.alpha))
     return abs(expectation(f.p_op, shifted) - before)
 
 
@@ -99,7 +99,7 @@ def photon_drift_check(f: FockTruncation, c: float, state: QuantumState, dt: flo
     _require_safe(state)
     h = HermitianOperator(c * f.p_op.matrix)
     before = expectation(f.x_op, state)
-    after_amps = propagator(h, dt, f.alpha) @ state.amplitudes
+    after_amps = propagate(h, dt, state.amplitudes, f.alpha)
     after = expectation(f.x_op, QuantumState.normalized(after_amps))
     return abs((after - before) / dt - c)
 

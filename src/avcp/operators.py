@@ -345,8 +345,10 @@ def inverse_cdf(weights: np.ndarray, rows: np.ndarray | int, u: np.ndarray) -> n
     """Outcome groups u draws from the normalised cumulative weights of `rows` (an index or array).
 
     The count of sums <= u[t] (`searchsorted`, side="right"); leaving out the last clamps it to G - 1.
+    Normalising after the sum keeps trailing zero-weight groups at exactly 1.0, out of reach of u < 1.
     """
-    cum = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
+    cum = np.cumsum(weights, axis=1)
+    cum = cum / cum[:, -1:]
     return (cum[rows, :-1] <= u[:, None]).sum(axis=1)
 
 

@@ -145,20 +145,10 @@ class CanonicalPolynomial:
 
     def to_expr(self) -> ex.ObservableExpr:
         """Equivalent observable expression over x/p (or x1..xN, p1..pN)."""
-        parts = []
-        for e, c in self.terms:
-            factors: list = []
-            if c != 1 or not any(e):
-                factors.append(ex.Const(float(c)))
-            for pos, k in enumerate(e):
-                if k == 0:
-                    continue
-                var = ex.Var(self.variable_name(pos))
-                factors.append(var if k == 1 else ex.Pow(var, k))
-            parts.append(factors[0] if len(factors) == 1 else ex.Mul(tuple(factors)))
-        if not parts:
-            return ex.Const(0.0)
-        return parts[0] if len(parts) == 1 else ex.Add(tuple(parts))
+        return ex.PolynomialForm(tuple(
+            (ex.Monomial(tuple((self.variable_name(pos), k) for pos, k in enumerate(e) if k), ()), float(c))
+            for e, c in self.terms
+        )).to_expr()
 
     def __repr__(self):
         return f"CanonicalPolynomial({ex.to_string(self.to_expr())!r})"

@@ -9,9 +9,17 @@ import numpy as np
 import pytest
 
 from avcp.cli import main
+from avcp.evolution import HamiltonianSchedule
 from avcp.experiments import ExperimentSpec
 from avcp.expressions import BindingSet
-from avcp.operators import HermitianOperator, make_rng, matrix_to_dict, random_hermitian, random_state
+from avcp.operators import (
+    HermitianOperator,
+    make_rng,
+    matrix_to_dict,
+    random_hermitian,
+    random_state,
+    state_to_dict,
+)
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -251,6 +259,23 @@ def test_evolve_round_trip(tmp_path, capsys):
     assert rc == 0
     got = complex(out["re"][0], out["im"][0])
     assert got == pytest.approx(np.exp(-1j * 1.0), abs=1e-12)
+
+
+def test_evolve_bytes_do_not_depend_on_blas_threads(tmp_path):
+    rng = make_rng(65)
+    state_path = tmp_path / "state.json"
+    sched_path = tmp_path / "sched.json"
+    state_path.write_text(json.dumps(state_to_dict(random_state(64, rng))))
+    sched_path.write_text(json.dumps(HamiltonianSchedule.constant(random_hermitian(64, rng), 0.0, 2.0).to_dict()))
+    outs = []
+    for threads in ("1", "2", "4"):
+        env = {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        rc, out, err = _run_cli_with_env(
+            env, "evolve", "--state", str(state_path), "--schedule", str(sched_path), "--steps", "128"
+        )
+        assert rc == 0, err
+        outs.append(out)
+    assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 # --- module shortcut commands -----------------------------------------------------------

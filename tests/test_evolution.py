@@ -4,13 +4,25 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import avcp.angular
+import avcp.evolution
+import avcp.kinematics
+from avcp.angular import check_frame_rotation_covariance, check_rotation_identity, spin_operators
 from avcp.errors import DimMismatch, ScheduleGap
 from avcp.evolution import (
     HamiltonianSchedule,
     check_ehrenfest,
     check_energy_conservation,
     evolve,
+    propagate,
     propagator,
+)
+from avcp.kinematics import (
+    build_fock,
+    coherent_state,
+    displacement_shift_residual,
+    momentum_invariance_residual,
+    photon_drift_check,
 )
 from avcp.operators import (
     HermitianOperator,
@@ -88,6 +100,106 @@ def test_unitarity_and_composition():
         u1, u2, u12 = propagator(h, t1), propagator(h, t2), propagator(h, t1 + t2)
         assert max_norm(u1.conj().T @ u1 - np.eye(4)) <= 1e-10
         assert max_norm(u2 @ u1 - u12) <= 1e-10
+
+
+# --- propagate -------------------------------------------------------------------
+
+
+def test_propagate_of_a_matrix_is_propagate_of_each_column():
+    rng = make_rng(20)
+    h = random_hermitian(6, rng)
+    cols = np.stack([random_state(6, rng).amplitudes for _ in range(4)], axis=1)
+    got = propagate(h, 0.83, cols, 1.3)
+    for k in range(cols.shape[1]):
+        # matrix and vector products may round differently in the last bit
+        assert np.abs(got[:, k] - propagate(h, 0.83, cols[:, k], 1.3)).max() <= 1e-15
+
+
+def test_propagate_at_zero_dt_returns_the_input():
+    h = random_hermitian(5, make_rng(21))
+    amps = random_state(5, make_rng(22)).amplitudes
+    assert np.array_equal(propagate(h, 0.0, amps), amps)
+
+
+@pytest.mark.parametrize("dt", [math.inf, -math.inf, math.nan])
+def test_propagate_rejects_non_finite_dt(dt):
+    h = random_hermitian(3, make_rng(23))
+    with pytest.raises(ValueError):
+        propagate(h, dt, np.ones(3, dtype=complex))
+    with pytest.raises(ValueError):
+        propagator(h, dt)
+
+
+def test_state_moving_checks_never_build_the_matrix(monkeypatch):
+    def built(*args):
+        raise AssertionError("built the d x d propagator to move one state")
+
+    for module in (avcp.evolution, avcp.kinematics, avcp.angular):
+        monkeypatch.setattr(module, "propagator", built)
+    rng = make_rng(24)
+    h, f = random_hermitian(4, rng), random_hermitian(4, rng)
+    v = random_state(4, rng)
+    evolve(v, HamiltonianSchedule.constant(h, 0.0, 1.0), 8)
+    check_energy_conservation(v, h, 0.5)
+    check_ehrenfest(f, h, v, 1e-4)
+    fock = build_fock(32)
+    safe = coherent_state(fock, 0.8 + 0.3j)
+    displacement_shift_residual(fock, safe, 0.1)
+    momentum_invariance_residual(fock, safe, 0.1)
+    photon_drift_check(fock, 0.7, safe, 1e-3)
+    spin = spin_operators(3)
+    check_rotation_identity(spin, random_state(3, rng), 0.1)
+    check_frame_rotation_covariance(spin, random_state(3, rng), 0.1)
+
+
+# --- evolve against the matrix-per-slice reference ------------------------------------
+
+
+def _reference_evolve(v, sched, steps):
+    """Reference slice loop: build the d x d propagator (V * phases) @ V^dag at
+    each midpoint, multiply the state by it, renormalise."""
+
+    def matrix(h, dt, alpha):
+        s = h.spectrum
+        phases = np.exp(-1j * s.eigenvalues * (dt / alpha))
+        return (s.eigenvectors * phases) @ s.eigenvectors.conj().T
+
+    amps = np.array(v.amplitudes, dtype=complex)
+    dt = (sched.t_end - sched.t_start) / steps
+    for k in range(steps):
+        mid = sched.t_start + (k + 0.5) * dt
+        amps = matrix(sched.at(mid), dt, sched.alpha) @ amps
+        amps /= np.linalg.norm(amps)
+    return amps
+
+
+def _constant_d64():
+    rng = make_rng(30)
+    return random_state(64, rng), HamiltonianSchedule.constant(random_hermitian(64, rng), 0.0, 2.5, 0.8), 128
+
+
+def _three_pieces_d8():
+    rng = make_rng(31)
+    hs = [random_hermitian(8, rng) for _ in range(3)]
+    # 7 slices of width 2/7: the second and fourth straddle the piece boundaries
+    sched = HamiltonianSchedule.piecewise([(0.0, 0.35, hs[0]), (0.35, 1.1, hs[1]), (1.1, 2.0, hs[2])], 1.4)
+    return random_state(8, rng), sched, 7
+
+
+def _callable_d3():
+    rng = make_rng(32)
+    h0, h1 = random_hermitian(3, rng), random_hermitian(3, rng)
+    sched = HamiltonianSchedule.from_function(
+        lambda t: HermitianOperator(h0.matrix + math.sin(t) * h1.matrix), -0.5, 1.5
+    )
+    return random_state(3, rng), sched, 40
+
+
+@pytest.mark.parametrize("case", [_constant_d64, _three_pieces_d8, _callable_d3], ids=lambda c: c.__name__[1:])
+def test_evolve_matches_the_matrix_per_slice_reference(case):
+    v, sched, steps = case()
+    got = evolve(v, sched, steps).amplitudes
+    assert np.abs(got - _reference_evolve(v, sched, steps)).max() <= 1e-12
 
 
 # --- schedules and evolve ----------------------------------------------------------

@@ -198,6 +198,19 @@ def test_nonsimple_f_fails_before_any_sampling(monkeypatch):
         run_trials(spec, 100_000, 0)
 
 
+def test_enumeration_budget_fails_before_any_sampling(monkeypatch):
+    def sampled(*args):
+        raise AssertionError("sampled before the enumeration budget was checked")
+
+    monkeypatch.setattr(experiments, "born_split", sampled)
+    rng = make_rng(101)
+    bind = BindingSet({name: random_hermitian(101, rng) for name in ("A", "B", "C")})
+    spec = ExperimentSpec(random_state(101, rng), bind, ["A", "B", "C"], "A + B + C")
+    assert spec.plan.groups == (("A",), ("B",), ("C",))  # 101^3 tuples, over the budget
+    with pytest.raises(StateSpaceTooLarge):
+        run_trials(spec, 100_000, 0)
+
+
 def test_avcp_property_random_simple_ensembles():
     rng = make_rng(14)
     for _ in range(25):

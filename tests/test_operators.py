@@ -20,6 +20,7 @@ from avcp.operators import (
     embed_operator,
     expectation,
     hermitian_from_matrix,
+    inverse_cdf,
     make_rng,
     max_norm,
     measure_projective,
@@ -352,6 +353,24 @@ def test_degenerate_measurement_collapse():
     assert out.value == pytest.approx(5.0)
     norm = math.sqrt(a * a + b * b)
     assert np.allclose(out.collapsed.amplitudes, [a / norm, b / norm, 0.0], atol=1e-12)
+
+
+# the largest value Generator.random returns; the normalised cumulative sums of
+# weights (0.1, 0.2, 0.3, 0) end at 0.9999999999999999 when summed after dividing
+_TOP_DRAW = 1.0 - 2.0**-53
+
+
+def test_inverse_cdf_never_picks_a_zero_weight_group():
+    weights = np.array([[0.1, 0.2, 0.3, 0.0]])
+    assert inverse_cdf(weights, 0, np.array([_TOP_DRAW])).tolist() == [2]
+
+
+def test_top_draw_never_collapses_onto_a_zero_probability_outcome():
+    h = hermitian_from_matrix(np.diag([1.0, 2.0, 3.0, 4.0]))
+    v = QuantumState.normalized([0.17565562060255901, 0.8631789223498866, 0.5414612202490917, 0.0])
+    out = measure_projective(v, h, _FixedRng(_TOP_DRAW))
+    assert out.outcome_index == 2
+    assert out.value == 3.0
 
 
 def test_measurement_phase_invariance():
