@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     CommutingInput,
     DimMismatch,
+    DomainError,
     ExpressionSyntaxError,
     NonSimpleExpression,
     UnboundVariable,
@@ -454,8 +455,6 @@ def _apply_numeric_func(name: str, x):
         return -x
     if name == "sqrt":
         if np.any(np.asarray(x) < 0):
-            from .errors import DomainError
-
             raise DomainError("sqrt of a negative outcome value")
         return np.sqrt(x)
     return {"cos": np.cos, "sin": np.sin, "exp": np.exp}[name](x)

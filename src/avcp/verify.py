@@ -22,7 +22,7 @@ from .angular import (
 )
 from .errors import AvcpError
 from .evolution import HamiltonianSchedule, check_energy_conservation, evolve, propagate, propagator
-from .experiments import ExperimentSpec, check_avcp, run_trials
+from .experiments import ExperimentSpec, check_avcp, enumerate_expectation, run_trials
 from .expressions import BindingSet
 from .kinematics import (
     boundary_weight,
@@ -155,8 +155,6 @@ def _suite_avcp(seed: int, alpha: float, levels: int, dims) -> list[dict]:
     state = random_state(4, rng)
     spec_sq = ExperimentSpec(state, BindingSet({"A": op}), ["A"], "A^2")
     lhs = expectation(HermitianOperator(op.matrix @ op.matrix), state)
-    from .experiments import enumerate_expectation
-
     checks.append(
         _check("square_same_copy_enumeration", abs(enumerate_expectation(spec_sq) - lhs), 1e-12)
     )

@@ -211,6 +211,45 @@ def test_enumeration_budget_fails_before_any_sampling(monkeypatch):
         run_trials(spec, 100_000, 0)
 
 
+def _over_budget_spec():
+    rng = make_rng(101)
+    bind = BindingSet({name: random_hermitian(101, rng) for name in ("A", "B", "C")})
+    window = EvolutionWindow(HamiltonianSchedule.constant(bind.embedded("A"), 0.0, 2.0), 1.0, 2.0)
+    return ExperimentSpec(random_state(101, rng), bind, ["A", "B", "C"], "A + B + C", evolution=window)
+
+
+@pytest.mark.parametrize(
+    "check", [check_avcp, lambda spec: run_trials(spec, 10, 0)], ids=["check_avcp", "run_trials"]
+)
+def test_enumeration_budget_fails_before_any_evolution(monkeypatch, check):
+    def evolved(*args):
+        raise AssertionError("evolved before the enumeration budget was checked")
+
+    monkeypatch.setattr(experiments, "evolve", evolved)
+    with pytest.raises(StateSpaceTooLarge):
+        check(_over_budget_spec())
+
+
+@pytest.mark.parametrize(
+    "check", [check_avcp, lambda spec: run_trials(spec, 10, 0)], ids=["check_avcp", "run_trials"]
+)
+def test_each_measurement_time_is_evolved_to_once(monkeypatch, check):
+    spans, evolve = [], experiments.evolve
+
+    def counting(v, schedule, steps):
+        spans.append((schedule.t_start, schedule.t_end))
+        return evolve(v, schedule, steps)
+
+    monkeypatch.setattr(experiments, "evolve", counting)
+    h = random_hermitian(3, make_rng(31))
+    window = EvolutionWindow(HamiltonianSchedule.constant(h, 0.0, 2.0), t1=1.0, t2=2.0, steps=16)
+    rng = make_rng(32)
+    bind = BindingSet({"A": random_hermitian(3, rng), "B": random_hermitian(3, rng)})
+    spec = ExperimentSpec(random_state(3, rng), bind, ["A", "B"], "A + B", evolution=window)
+    check(spec)
+    assert sorted(spans) == [(0.0, 1.0), (0.0, 2.0)]
+
+
 def test_avcp_property_random_simple_ensembles():
     rng = make_rng(14)
     for _ in range(25):

@@ -155,6 +155,15 @@ def test_degenerate_outcome_grouping():
     assert [len(g) for g in s.outcome_groups] == [1, 2]
 
 
+def test_empty_operator_has_an_empty_spectrum():
+    s = HermitianOperator(np.zeros((0, 0))).spectrum
+    assert s.dim == 0
+    assert s.eigenvalues.dtype == float and s.eigenvectors.shape == (0, 0)
+    assert s.eigenvectors.dtype == complex
+    assert s.outcome_groups == ()
+    assert s.group_values.shape == (0,) and s.group_values.dtype == float
+
+
 # --- spectral functional calculus ----------------------------------------------
 
 
