@@ -4,7 +4,8 @@ Exit codes: 0 success; 1 bad usage, unreadable input, or malformed
 expression; 2 expression rejected as non-simple; 3 verification failure.
 Stochastic commands are reproducible: the same seed yields byte-identical
 output.  The environment variable AVCP_ALPHA overrides the default evolution
-constant; an explicit --alpha flag wins over both.
+constant; an explicit --alpha flag wins over both, and a schedule file's own
+"alpha" wins over all three.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from .errors import AvcpError, NonSimpleExpression
 from .evolution import HamiltonianSchedule, evolve
 from .experiments import ExperimentSpec, run_trials
 from .expressions import BindingSet
+from .kinematics import build_fock
 from .operators import operator_to_dict, state_from_dict, state_to_dict
+from .poisson import check_dirac_rule, counterexample_report, parse_canonical
 
 
 def _default_alpha() -> float:
@@ -43,6 +46,11 @@ def _emit(payload, fmt: str, out: str | None, text_renderer=None) -> None:
 def _load_json(path: str):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _schedule_with_alpha(raw, alpha: float):
+    """A schedule's JSON with `alpha` filled in from the command line unless it sets its own."""
+    return {"alpha": alpha, "pieces": raw} if isinstance(raw, list) else {"alpha": alpha, **raw}
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
@@ -146,6 +154,8 @@ def _dispatch(args, alpha: float) -> int:
 
     if args.command == "experiment":
         raw = _load_json(args.spec)
+        if isinstance(raw, dict) and raw.get("evolution"):
+            raw["evolution"]["schedule"] = _schedule_with_alpha(raw["evolution"]["schedule"], alpha)
         spec = ExperimentSpec.from_dict(raw)
         n = int(raw.get("n_trials", args.trials))
         seed = int(raw.get("seed", args.seed))
@@ -175,15 +185,12 @@ def _dispatch(args, alpha: float) -> int:
 
     if args.command == "evolve":
         state = state_from_dict(_load_json(args.state))
-        sched = HamiltonianSchedule.from_dict(_load_json(args.schedule))
+        sched = HamiltonianSchedule.from_dict(_schedule_with_alpha(_load_json(args.schedule), alpha))
         final = evolve(state, sched, args.steps)
         _emit(state_to_dict(final), args.format, args.out)
         return 0
 
     if args.command == "poisson":
-        from .kinematics import build_fock
-        from .poisson import check_dirac_rule, counterexample_report, parse_canonical
-
         rep = build_fock(args.levels, alpha)
         if args.action == "check":
             r = check_dirac_rule(parse_canonical(args.f), parse_canonical(args.h), rep)

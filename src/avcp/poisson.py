@@ -33,24 +33,35 @@ def _coerce(c) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 
 
+def _collect(pairs, n_pairs: int) -> "CanonicalPolynomial":
+    """The one like-term accumulator: sum equal exponent tuples' Fractions, drop zeros, sort."""
+    acc: dict[_Exponents, Fraction] = {}
+    for e, c in pairs:
+        acc[e] = acc[e] + c if e in acc else c
+    return CanonicalPolynomial(n_pairs, tuple(sorted((e, c) for e, c in acc.items() if c)))
+
+
 @dataclass(frozen=True)
 class CanonicalPolynomial:
-    """Polynomial over canonical coordinates with exact coefficients."""
+    """Polynomial over canonical coordinates with exact coefficients.
+
+    The raw constructor is trusted with sorted, merged, non-zero Fraction terms;
+    outside data enters through `from_terms`, `parse_canonical`, `coordinate`
+    and `constant`, which validate it.
+    """
 
     n_pairs: int
     terms: tuple[tuple[_Exponents, Fraction], ...]
 
     @classmethod
     def from_terms(cls, terms: Mapping[_Exponents, object], n_pairs: int) -> "CanonicalPolynomial":
-        clean = {}
+        pairs = []
         for exps, c in terms.items():
             exps = tuple(int(k) for k in exps)
             if len(exps) != 2 * n_pairs or any(k < 0 for k in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {n_pairs} pair(s)")
-            c = _coerce(c)
-            if c != 0:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
-        return cls(n_pairs, tuple(sorted((e, c) for e, c in clean.items() if c != 0)))
+            pairs.append((exps, _coerce(c)))
+        return _collect(pairs, n_pairs)
 
     @classmethod
     def zero(cls, n_pairs: int = 1) -> "CanonicalPolynomial":
@@ -69,32 +80,21 @@ class CanonicalPolynomial:
     def constant(cls, c, n_pairs: int = 1) -> "CanonicalPolynomial":
         return cls.from_terms({(0,) * (2 * n_pairs): c}, n_pairs)
 
-    def _dict(self) -> dict:
-        return dict(self.terms)
-
     def __add__(self, other):
         other = self._match(other)
-        d = self._dict()
-        for e, c in other.terms:
-            d[e] = d.get(e, Fraction(0)) + c
-        return CanonicalPolynomial.from_terms(d, self.n_pairs)
+        return _collect(self.terms + other.terms, self.n_pairs)
 
     def __sub__(self, other):
         other = self._match(other)
         return self + other * -1
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            return CanonicalPolynomial.from_terms(
-                {e: c * _coerce(other) for e, c in self.terms}, self.n_pairs
-            )
         other = self._match(other)
-        out: dict[_Exponents, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return CanonicalPolynomial.from_terms(out, self.n_pairs)
+        return _collect(
+            ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+             for e1, c1 in self.terms for e2, c2 in other.terms),
+            self.n_pairs,
+        )
 
     __rmul__ = __mul__
 
@@ -115,13 +115,10 @@ class CanonicalPolynomial:
 
     def differentiate(self, kind: str, index: int = 0) -> "CanonicalPolynomial":
         pos = index + (self.n_pairs if kind == "p" else 0)
-        out: dict[_Exponents, Fraction] = {}
-        for e, c in self.terms:
-            if e[pos] == 0:
-                continue
-            key = tuple(k - 1 if i == pos else k for i, k in enumerate(e))
-            out[key] = out.get(key, Fraction(0)) + c * e[pos]
-        return CanonicalPolynomial.from_terms(out, self.n_pairs)
+        return _collect(
+            ((e[:pos] + (e[pos] - 1,) + e[pos + 1:], c * e[pos]) for e, c in self.terms if e[pos]),
+            self.n_pairs,
+        )
 
     def total_degree(self) -> int:
         return max((sum(e) for e, _ in self.terms), default=0)
@@ -130,13 +127,8 @@ class CanonicalPolynomial:
         return not self.terms
 
     def evaluate(self, xs, ps) -> float:
-        total = 0.0
-        for e, c in self.terms:
-            val = float(c)
-            for i in range(self.n_pairs):
-                val *= xs[i] ** e[i] * ps[i] ** e[self.n_pairs + i]
-            total += val
-        return total
+        values = [*xs[: self.n_pairs], *ps[: self.n_pairs]]
+        return ex.evaluate(self.to_expr(), {self.variable_name(pos): v for pos, v in enumerate(values)})
 
     def variable_name(self, pos: int) -> str:
         if self.n_pairs == 1:
@@ -164,7 +156,7 @@ def parse_canonical(text: str, n_pairs: int = 1) -> CanonicalPolynomial:
     if n_pairs == 1:
         allowed["x"] = 0
         allowed["p"] = 1
-    terms: dict[_Exponents, Fraction] = {}
+    pairs = []
     for m, c in form.terms:
         if m.func_powers:
             raise UnsupportedExpression("canonical polynomials admit no function factors")
@@ -175,9 +167,8 @@ def parse_canonical(text: str, n_pairs: int = 1) -> CanonicalPolynomial:
                     f"{name!r} is not a canonical coordinate for {n_pairs} pair(s)"
                 )
             exps[allowed[name]] += k
-        key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + _coerce(c)
-    return CanonicalPolynomial.from_terms(terms, n_pairs)
+        pairs.append((tuple(exps), _coerce(c)))
+    return _collect(pairs, n_pairs)
 
 
 def poisson_bracket(f: CanonicalPolynomial, h: CanonicalPolynomial) -> CanonicalPolynomial:

@@ -471,10 +471,8 @@ def _validate_bindings(raw: dict) -> dict:
     try:
         BindingSet.from_dict(raw)
     except AvcpError as exc:
-        out = _error_check("bindings_validation", exc)
-        out["suite"] = "bindings"
-        return out
-    return {"name": "bindings_validation", "value": 0.0, "threshold": 0.0, "op": "<=", "passed": True, "suite": "bindings"}
+        return {**_error_check("bindings_validation", exc), "suite": "bindings"}
+    return {**_check("bindings_validation", 0.0, 0.0), "suite": "bindings"}
 
 
 def render_text(report: dict) -> str:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -152,6 +153,23 @@ def test_verify_corrupted_binding_exits_three(tmp_path, capsys):
     assert failing and failing[0]["error"] == "NotHermitian"
 
 
+def test_verify_valid_bindings_adds_one_passing_check(pauli_bindings_file, capsys):
+    assert main(["verify", "operators", "--bindings", pauli_bindings_file]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"][-1] == {
+        "name": "bindings_validation",
+        "value": 0.0,
+        "threshold": 0.0,
+        "op": "<=",
+        "passed": True,
+        "suite": "bindings",
+    }
+    assert main(["verify", "operators", "--bindings", pauli_bindings_file, "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"ok    bindings_validation +0\.000e\+00 <= 0\.000e\+00", lines[-3])
+    assert lines[-1] == "PASSED"
+
+
 # --- demos ----------------------------------------------------------------------------
 
 
@@ -259,6 +277,56 @@ def test_evolve_round_trip(tmp_path, capsys):
     assert rc == 0
     got = complex(out["re"][0], out["im"][0])
     assert got == pytest.approx(np.exp(-1j * 1.0), abs=1e-12)
+
+
+def _evolve_stdout(tmp_path, capsys, schedule, *flags) -> str:
+    state_path = tmp_path / "state.json"
+    sched_path = tmp_path / "sched.json"
+    state_path.write_text(json.dumps({"dim": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]}))
+    sched_path.write_text(json.dumps(schedule))
+    assert main(["evolve", "--state", str(state_path), "--schedule", str(sched_path), "--steps", "4", *flags]) == 0
+    return capsys.readouterr().out
+
+
+def test_evolve_takes_alpha_from_the_command_line_when_the_schedule_has_none(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("AVCP_ALPHA", raising=False)
+    pieces = [{"t0": 0.0, "t1": 1.0, "operator": matrix_to_dict(SX)}]
+    flag2 = _evolve_stdout(tmp_path, capsys, {"pieces": pieces}, "--alpha", "2")
+    assert flag2 == _evolve_stdout(tmp_path, capsys, {"alpha": 2.0, "pieces": pieces})
+    assert flag2 == _evolve_stdout(tmp_path, capsys, pieces, "--alpha", "2")
+    assert flag2 != _evolve_stdout(tmp_path, capsys, {"pieces": pieces}, "--alpha", "1")
+    monkeypatch.setenv("AVCP_ALPHA", "3")
+    env3 = _evolve_stdout(tmp_path, capsys, {"pieces": pieces})
+    assert env3 == _evolve_stdout(tmp_path, capsys, {"alpha": 3.0, "pieces": pieces})
+    assert env3 != flag2
+    # the schedule's own alpha wins over both the flag and the environment
+    assert _evolve_stdout(tmp_path, capsys, {"alpha": 2.0, "pieces": pieces}, "--alpha", "5") == flag2
+
+
+def test_experiment_takes_alpha_from_the_command_line_when_the_schedule_has_none(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("AVCP_ALPHA", raising=False)
+    sz = np.diag([1.0, -1.0]).astype(complex)
+
+    def stdout(schedule, *flags):
+        spec = {
+            "state": {"dim": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]},
+            "bindings": {"A": matrix_to_dict(SX), "B": matrix_to_dict(sz)},
+            "implementation": ["A", "B"],
+            "f": "A + B",
+            "evolution": {"schedule": schedule, "t1": 1.0, "t2": 2.0, "steps": 16},
+            "n_trials": 500,
+            "seed": 3,
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["experiment", str(path), *flags]) == 0
+        return capsys.readouterr().out
+
+    pieces = [{"t0": 0.0, "t1": 2.0, "operator": matrix_to_dict(SY)}]
+    flag2 = stdout({"pieces": pieces}, "--alpha", "2")
+    assert flag2 == stdout({"alpha": 2.0, "pieces": pieces})
+    assert flag2 != stdout({"pieces": pieces}, "--alpha", "1")
+    assert stdout({"alpha": 2.0, "pieces": pieces}, "--alpha", "1") == flag2
 
 
 def test_evolve_bytes_do_not_depend_on_blas_threads(tmp_path):
