@@ -86,6 +86,7 @@ from .operators import (
     apply_spectral_function,
     commutator,
     eigensystem,
+    eigensystems,
     embed_operator,
     expectation,
     hermitian_from_matrix,

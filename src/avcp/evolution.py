@@ -17,6 +17,7 @@ from .errors import DimMismatch, ScheduleGap
 from .operators import (
     HermitianOperator,
     QuantumState,
+    cache_spectra,
     commutator,
     expectation,
     hermitian_from_matrix,
@@ -26,6 +27,8 @@ from .operators import (
 
 _CONTIGUITY_RTOL = 1e-12
 _NORM_DRIFT_TOL = 1e-12
+#: evolve samples and diagonalises at most this many slices, of at most this many matrix entries, at once
+_BLOCK_SLICES, _BLOCK_ENTRIES = 256, 2**20
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,8 @@ def propagator(h: HermitianOperator, dt: float, alpha: float = 1.0) -> np.ndarra
 
 
 def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumState:
-    """Propagate across the schedule span with `steps` midpoint-sampled slices."""
+    """Propagate across the schedule span with `steps` midpoint-sampled slices, sampled and
+    diagonalised in blocks: a callable schedule's `fn` may run up to one block ahead of propagation."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     span = sched.t_end - sched.t_start
@@ -157,13 +161,17 @@ def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumSt
         raise DimMismatch(f"schedule dim {sched.dim} vs state dim {v.dim}")
     amps = np.array(v.amplitudes, dtype=complex)
     dt = span / steps
-    for k in range(steps):
-        mid = sched.t_start + (k + 0.5) * dt
-        amps = propagate(sched.at(mid), dt, amps, sched.alpha)
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > _NORM_DRIFT_TOL:
-            raise DimMismatch(f"norm drifted by {abs(norm - 1.0):.3e} in one slice")
-        amps /= norm
+    block = max(1, min(_BLOCK_SLICES, _BLOCK_ENTRIES // v.dim**2))
+    for start in range(0, steps, block):
+        hs = [sched.at(sched.t_start + (k + 0.5) * dt) for k in range(start, min(start + block, steps))]
+        cache_spectra(hs)
+        for h in hs:
+            amps = propagate(h, dt, amps, sched.alpha)
+            norm = float(np.linalg.norm(amps))
+            if abs(norm - 1.0) > _NORM_DRIFT_TOL:
+                raise DimMismatch(f"norm drifted by {abs(norm - 1.0):.3e} in one slice")
+            amps /= norm
+        del hs, h  # this block's operators go before the next block is sampled
     return QuantumState(amps, v.factor_dims)
 
 

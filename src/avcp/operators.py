@@ -182,50 +182,68 @@ class QuantumState:
 
 
 def eigensystem(h: HermitianOperator) -> Spectrum:
-    """Deterministic eigendecomposition of a Hermitian operator.
+    """Deterministic eigendecomposition of a Hermitian operator: `eigensystems` of one matrix."""
+    return eigensystems([h.matrix])[0]
 
-    Ascending eigenvalues; ties within the degeneracy tolerance are ordered
-    by the lexicographic key (re, im, re, im, ...) of the phase-fixed eigenvector.
-    """
-    a = h.matrix
+
+def eigensystems(mats) -> list[Spectrum]:
+    """Deterministic eigendecompositions of a stack of equal-size Hermitian matrices.
+
+    One batched `eigh` (bit-identical to per-matrix calls); ascending eigenvalues, ties within the
+    degeneracy tolerance ordered by the lexicographic key (re, im, re, im, ...) of the phase-fixed
+    eigenvector.  Raises ConvergenceFailure if any matrix fails a gate."""
+    a = np.asarray(mats, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise DimMismatch(f"expected a stack of square matrices, got shape {a.shape}")
     try:
         eigenvalues, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in practice
         raise ConvergenceFailure(str(exc)) from None
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
-    vectors = np.array(vectors, dtype=complex)
-
-    if vectors.size:
+    n, d = eigenvalues.shape
+    if d:
         # a unit column always has an entry of at least 1/sqrt(d), far above the cutoff;
         # np.hypot rounds like scalar abs() (np.abs on arrays does not), as the oracle test pins
-        z = vectors[np.argmax(np.abs(vectors) > _PHASE_CUTOFF, axis=0), np.arange(vectors.shape[1])]
-        vectors = vectors * (z.conj() / np.hypot(z.real, z.imag))
+        z = np.take_along_axis(vectors, np.argmax(np.abs(vectors) > _PHASE_CUTOFF, axis=1)[:, None, :], axis=1)
+        # each matrix column-major, as before: BLAS rounds products with the other layout differently
+        fixed = np.empty((n, d, d), dtype=complex).transpose(0, 2, 1)
+        vectors = np.multiply(vectors, z.conj() / np.hypot(z.real, z.imag), out=fixed)
 
-    scale = max(1.0, max_norm(a))
+    scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2), initial=0.0))
     tol = DEGENERACY_RTOL * scale
+    groups = [tuple((c,) for c in range(d))] * n
+    # np.mean of one value is the value, except that -0.0 becomes 0.0
+    group_values = list(eigenvalues + 0.0)
 
-    # deterministic order inside each degenerate run
-    order = np.arange(eigenvalues.size)
-    for lo, hi in _runs(eigenvalues, tol):
-        if hi - lo > 1:
-            keys = np.ascontiguousarray(vectors[:, lo:hi].T).view(float)  # row c: column c's lex key
-            order[lo:hi] = lo + np.lexsort(keys.T[::-1])
-    eigenvalues = eigenvalues[order]
-    vectors = vectors[:, order]
-    runs = _runs(eigenvalues, tol)
-    groups = tuple(tuple(range(lo, hi)) for lo, hi in runs)
+    # deterministic order inside each degenerate run, for the matrices that have one
+    for i in np.flatnonzero((np.diff(eigenvalues, axis=1) <= tol[:, None]).any(axis=1)):
+        order = np.arange(d)
+        for lo, hi in _runs(eigenvalues[i], tol[i]):
+            if hi - lo > 1:
+                keys = np.ascontiguousarray(vectors[i, :, lo:hi].T).view(float)  # row c: column c's lex key
+                order[lo:hi] = lo + np.lexsort(keys.T[::-1])
+        eigenvalues[i] = eigenvalues[i, order]
+        vectors[i] = vectors[i][:, order]
+        runs = _runs(eigenvalues[i], tol[i])
+        groups[i] = tuple(tuple(range(lo, hi)) for lo, hi in runs)
+        # one np.mean per run: np.add.reduceat sums large runs in another order
+        group_values[i] = np.array([float(np.mean(eigenvalues[i, lo:hi])) for lo, hi in runs])
 
-    if max_norm(a @ vectors - vectors * eigenvalues) > SPECTRUM_TOL * scale:
+    residual = np.abs(a @ vectors - vectors * eigenvalues[:, None, :]).max(axis=(1, 2), initial=0.0)
+    if (residual > SPECTRUM_TOL * scale).any():
         raise ConvergenceFailure("eigenpair residual exceeds tolerance")
-    eye = np.eye(a.shape[0])
-    if max_norm(vectors.conj().T @ vectors - eye) > SPECTRUM_TOL:
+    if max_norm(vectors.conj().transpose(0, 2, 1) @ vectors - np.eye(d)) > SPECTRUM_TOL:
         raise ConvergenceFailure("eigenvector matrix is not unitary")
 
-    # one np.mean per run: np.add.reduceat sums large runs in another order
-    group_values = np.array([float(np.mean(eigenvalues[lo:hi])) for lo, hi in runs])
     eigenvalues.setflags(write=False)
     vectors.setflags(write=False)
-    return Spectrum(eigenvalues, vectors, groups, group_values)
+    return [Spectrum(eigenvalues[i], vectors[i], groups[i], group_values[i]) for i in range(n)]
+
+
+def cache_spectra(ops: Sequence[HermitianOperator]) -> None:
+    """Fill every empty spectrum cache in `ops`, diagonalising the distinct operators in one `eigensystems` call."""
+    fresh = list({id(h): h for h in ops if h._spectrum is None}.values())
+    for h, s in zip(fresh, eigensystems([h.matrix for h in fresh]) if fresh else ()):
+        h._spectrum = s
 
 
 def _runs(values: np.ndarray, tol: float) -> list[tuple[int, int]]:

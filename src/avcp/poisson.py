@@ -13,6 +13,7 @@ x^3 / p^3 pair shows what goes wrong when the bracket is not simple.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -86,7 +87,7 @@ class CanonicalPolynomial:
 
     def __sub__(self, other):
         other = self._match(other)
-        return self + other * -1
+        return _collect(itertools.chain(self.terms, ((e, -c) for e, c in other.terms)), self.n_pairs)
 
     def __mul__(self, other):
         other = self._match(other)

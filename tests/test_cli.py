@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avcp.cli import main
+from avcp.cli import entry, main
 from avcp.evolution import HamiltonianSchedule
 from avcp.experiments import ExperimentSpec
 from avcp.expressions import BindingSet
@@ -141,6 +141,19 @@ def test_verify_all_reports_are_byte_identical():
     rc2, out2, _ = _run_cli("verify", "all", "--seed", "7")
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_python_dash_m_avcp_runs_the_avcp_entry_point(monkeypatch, capsys):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(os.path.dirname(__file__), "..", "src")] + sys.path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "avcp", "verify", "operators", "--seed", "3"], capture_output=True, text=True, env=env
+    )
+    monkeypatch.setattr(sys, "argv", ["avcp", "verify", "operators", "--seed", "3"])
+    with pytest.raises(SystemExit) as exit_info:
+        entry()
+    assert proc.returncode == exit_info.value.code == 0, proc.stderr
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_verify_corrupted_binding_exits_three(tmp_path, capsys):

@@ -1,22 +1,25 @@
-"""Reference oracle for the array-form `operators.eigensystem`.
+"""Reference oracle for the array-form `operators.eigensystems` and `eigensystem`.
 
 `_eigensystem` below, with `_group_by_gap` and `_lex_key`, is the
 per-column implementation the package used before the phase fix, the run
 finder and the in-run sort became array operations.  It is kept verbatim:
 it loops over every column and sorts every run with Python tuples, so it is
 slow, but it shares none of that code with `eigensystem`.  Every operator in
-the corpus must give the same eigenvalue, eigenvector and group-value bytes
-and the same outcome groups from both, because every Born weight, collapse
-and group value in the package is derived from them.
+the corpus must give the same eigenvalue, eigenvector and group-value bytes,
+the same eigenvector memory layout and the same outcome groups from both,
+because every Born weight, collapse and group value in the package is
+derived from them.  The batched `eigensystems` must also give, for every
+matrix of a stack, exactly what `eigensystem` gives for that matrix alone.
 """
 
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from avcp.angular import casimir_matrix, spin_operators
-from avcp.errors import ConvergenceFailure
+from avcp.errors import ConvergenceFailure, DimMismatch
 from avcp.kinematics import build_fock
 from avcp.operators import (
     _PHASE_CUTOFF,
@@ -25,6 +28,7 @@ from avcp.operators import (
     HermitianOperator,
     Spectrum,
     eigensystem,
+    eigensystems,
     embed_operator,
     make_rng,
     max_norm,
@@ -175,27 +179,61 @@ FAMILIES = {
 }
 
 
+def _same(new: Spectrum, old: Spectrum) -> bool:
+    # the eigenvector layout counts too: BLAS rounds products with a C-ordered copy differently
+    return (
+        new.eigenvalues.tobytes() == old.eigenvalues.tobytes()
+        and new.eigenvectors.tobytes() == old.eigenvectors.tobytes()
+        and new.eigenvectors.shape == old.eigenvectors.shape
+        and new.eigenvectors.strides == old.eigenvectors.strides
+        and new.group_values.tobytes() == old.group_values.tobytes()
+        and new.group_values.dtype == old.group_values.dtype
+        and new.outcome_groups == old.outcome_groups
+    )
+
+
 def _mismatches(ops) -> list[int]:
-    bad = []
-    for i, op in enumerate(ops):
-        new, old = eigensystem(op), _eigensystem(HermitianOperator(op.matrix))
-        same = (
-            new.eigenvalues.tobytes() == old.eigenvalues.tobytes()
-            and new.eigenvectors.tobytes() == old.eigenvectors.tobytes()
-            and new.eigenvectors.shape == old.eigenvectors.shape
-            and new.group_values.tobytes() == old.group_values.tobytes()
-            and new.group_values.dtype == old.group_values.dtype
-            and new.outcome_groups == old.outcome_groups
-        )
-        if not same:
-            bad.append(i)
-    return bad
+    return [i for i, op in enumerate(ops) if not _same(eigensystem(op), _eigensystem(HermitianOperator(op.matrix)))]
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_eigensystem_matches_the_per_column_oracle_bytewise(family):
     ops = FAMILIES[family](make_rng(sorted(FAMILIES).index(family)))
     assert _mismatches(ops) == []
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_batched_eigensystems_match_eigensystem_per_matrix_bytewise(family):
+    by_dim = defaultdict(list)
+    for op in FAMILIES[family](make_rng(sorted(FAMILIES).index(family))):
+        by_dim[op.dim].append(op)
+    for ops in by_dim.values():
+        batched = eigensystems([op.matrix for op in ops])
+        assert len(batched) == len(ops)
+        assert [i for i, (s, op) in enumerate(zip(batched, ops)) if not _same(s, eigensystem(op))] == []
+
+
+def test_batched_edge_cases_empty_stack_and_negative_zero():
+    assert eigensystems(np.zeros((0, 3, 3))) == []
+    # np.mean([-0.0]) is 0.0, and a one-value group keeps that convention
+    assert eigensystems([[[-0.0]]])[0].group_values.tobytes() == np.array([0.0]).tobytes()
+
+
+def test_one_bad_matrix_fails_the_whole_stack():
+    rng = make_rng(41)
+    mats = [random_hermitian(4, rng).matrix for _ in range(5)]
+    bad = mats[2].copy()
+    bad[0, 3] += 1.0  # eigh reads only the lower triangle, so only the residual gate sees this
+    assert len(eigensystems(mats)) == 5
+    with pytest.raises(ConvergenceFailure, match="residual"):
+        eigensystems([*mats[:2], bad, *mats[3:]])
+
+
+def test_eigensystems_rejects_a_stack_that_is_not_square_matrices():
+    with pytest.raises(DimMismatch):
+        eigensystems(np.eye(3))
+    with pytest.raises(DimMismatch):
+        eigensystems(np.zeros((2, 3, 4)))
 
 
 def test_corpus_covers_at_least_200_operators_and_the_edge_sizes():

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -200,6 +201,65 @@ def test_evolve_matches_the_matrix_per_slice_reference(case):
     v, sched, steps = case()
     got = evolve(v, sched, steps).amplitudes
     assert np.abs(got - _reference_evolve(v, sched, steps)).max() <= 1e-12
+
+
+# --- callable schedules: slices diagonalised in blocks ------------------------------
+
+
+def _per_slice_evolve(v, fn, t0, t1, steps, alpha):
+    """Unblocked reference: per slice, one operator, its single `eigensystem` (through the
+    `spectrum` property that `propagate` reads), one `propagate`, renormalise."""
+    amps = np.array(v.amplitudes, dtype=complex)
+    dt = (t1 - t0) / steps
+    for k in range(steps):
+        amps = propagate(HermitianOperator(fn(t0 + (k + 0.5) * dt)), dt, amps, alpha)
+        amps /= float(np.linalg.norm(amps))
+    return amps
+
+
+def _linear_drive(d, seed):
+    rng = make_rng(seed)
+    h0, h1 = random_hermitian(d, rng).matrix, random_hermitian(d, rng).matrix
+    return random_state(d, rng), lambda t: h0 + t * h1
+
+
+@pytest.mark.parametrize("d, steps", [(3, 4096), (16, 300)])
+def test_blocked_evolve_is_bytewise_the_per_slice_loop(d, steps):
+    # 300 slices at d = 16: one full block of 256 and a partial one
+    v, fn = _linear_drive(d, 50 + d)
+    got = evolve(v, HamiltonianSchedule.from_function(fn, -0.25, 1.0, 0.9), steps).amplitudes
+    assert got.tobytes() == _per_slice_evolve(v, fn, -0.25, 1.0, steps, 0.9).tobytes()
+
+
+def test_callable_is_called_once_per_slice_in_midpoint_order():
+    v, fn = _linear_drive(3, 60)
+    calls = []
+    sched = HamiltonianSchedule.from_function(lambda t: calls.append(t) or fn(t), 0.5, 2.0)
+    evolve(v, sched, 600)
+    dt = 1.5 / 600
+    # the first call is the dimension probe at t_start
+    assert calls == [0.5] + [0.5 + (k + 0.5) * dt for k in range(600)]
+
+
+class _Tracked(HermitianOperator):
+    """HermitianOperator that admits weak references."""
+
+
+def test_at_most_one_block_of_slice_operators_is_alive():
+    rng = make_rng(61)
+    h0, h1 = random_hermitian(3, rng).matrix, random_hermitian(3, rng).matrix
+    alive = weakref.WeakSet()
+    peak = 0
+
+    def fn(t):
+        nonlocal peak
+        h = _Tracked(h0 + t * h1)
+        alive.add(h)
+        peak = max(peak, len(alive))
+        return h
+
+    evolve(random_state(3, rng), HamiltonianSchedule.from_function(fn, 0.0, 1.0), 20_000)
+    assert peak <= avcp.evolution._BLOCK_SLICES
 
 
 # --- schedules and evolve ----------------------------------------------------------
