@@ -157,13 +157,14 @@ def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumSt
     span = sched.t_end - sched.t_start
     if span == 0:
         return QuantumState(v.amplitudes.copy(), v.factor_dims)
-    if sched.dim != v.dim:
-        raise DimMismatch(f"schedule dim {sched.dim} vs state dim {v.dim}")
     amps = np.array(v.amplitudes, dtype=complex)
     dt = span / steps
     block = max(1, min(_BLOCK_SLICES, _BLOCK_ENTRIES // v.dim**2))
     for start in range(0, steps, block):
         hs = [sched.at(sched.t_start + (k + 0.5) * dt) for k in range(start, min(start + block, steps))]
+        bad = next((h.dim for h in hs if h.dim != v.dim), None)
+        if bad is not None:
+            raise DimMismatch(f"schedule dim {bad} vs state dim {v.dim}")
         cache_spectra(hs)
         for h in hs:
             amps = propagate(h, dt, amps, sched.alpha)

@@ -37,11 +37,12 @@ from .operators import (
     HermitianOperator,
     QuantumState,
     apply_spectral_function,
+    born_split,
     commutator,
     expectation,
+    inverse_cdf,
     make_rng,
     max_norm,
-    measure_projective,
     operator_from_dict,
     operator_to_dict,
     random_commuting_family,
@@ -120,10 +121,9 @@ def _suite_operators(seed: int, alpha: float, levels: int, dims) -> list[dict]:
         [float(np.linalg.norm(p @ state3.amplitudes) ** 2) for p in probe.spectrum.projectors()]
     )
     n_draws = 6000
-    counts = np.zeros(len(probs))
-    for _ in range(n_draws):
-        counts[measure_projective(state3, probe, rng).outcome_index] += 1
-    freq = counts / n_draws
+    weights = born_split(probe.spectrum, state3.amplitudes[None, :])[0]
+    idx = inverse_cdf(weights, 0, rng.random(n_draws))
+    freq = np.bincount(idx, minlength=len(probs)) / n_draws
     z = 0.0
     for pk, fk in zip(probs, freq):
         sigma = math.sqrt(max(pk * (1 - pk), 1e-12) / n_draws)

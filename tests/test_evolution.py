@@ -237,8 +237,7 @@ def test_callable_is_called_once_per_slice_in_midpoint_order():
     sched = HamiltonianSchedule.from_function(lambda t: calls.append(t) or fn(t), 0.5, 2.0)
     evolve(v, sched, 600)
     dt = 1.5 / 600
-    # the first call is the dimension probe at t_start
-    assert calls == [0.5] + [0.5 + (k + 0.5) * dt for k in range(600)]
+    assert calls == [0.5 + (k + 0.5) * dt for k in range(600)]
 
 
 class _Tracked(HermitianOperator):
@@ -339,6 +338,28 @@ def test_evolve_dim_mismatch():
     sched = HamiltonianSchedule.constant(random_hermitian(3, make_rng(3)), 0.0, 1.0)
     with pytest.raises(DimMismatch):
         evolve(random_state(2, make_rng(3)), sched, 4)
+
+
+def test_callable_of_the_wrong_dim_fails_before_any_diagonalisation(monkeypatch):
+    def no_spectra(hs):
+        raise AssertionError("cache_spectra ran before the dimension check")
+
+    monkeypatch.setattr(avcp.evolution, "cache_spectra", no_spectra)
+    h = random_hermitian(3, make_rng(3)).matrix
+    sched = HamiltonianSchedule.from_function(lambda t: h, 0.0, 1.0)
+    with pytest.raises(DimMismatch, match="schedule dim 3 vs state dim 2"):
+        evolve(random_state(2, make_rng(3)), sched, 4)
+
+
+@pytest.mark.parametrize("switch", [1.0, 1.707])
+def test_callable_that_changes_dim_in_a_later_block_fails(switch):
+    # 600 slices over [0, 2] at d = 3, in blocks of 256: the switch at 1.0 falls inside the
+    # second block; at 1.707 the third block (midpoints from 1.7083) is the first all at d = 4
+    rng = make_rng(4)
+    h3, h4 = random_hermitian(3, rng).matrix, random_hermitian(4, rng).matrix
+    sched = HamiltonianSchedule.from_function(lambda t: h3 if t < switch else h4, 0.0, 2.0)
+    with pytest.raises(DimMismatch, match="schedule dim 4 vs state dim 3"):
+        evolve(random_state(3, rng), sched, 600)
 
 
 # --- conservation checks --------------------------------------------------------------
