@@ -102,8 +102,8 @@ class HamiltonianSchedule:
             lo, hi = max(a, t0), min(b, t1)
             if hi > lo + tol or (t0 == t1 and lo <= t0 <= hi):
                 kept.append((lo, hi, h))
-        if not kept:
-            kept = [(t0, t1, self.pieces[0][2])]
+        if not kept:  # a window shorter than the tolerance: the operator at its midpoint
+            kept = [(t0, t1, self.at(min(max((t0 + t1) / 2, self.t_start), self.t_end)))]
         return HamiltonianSchedule.piecewise(kept, self.alpha)
 
     @classmethod

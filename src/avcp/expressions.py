@@ -18,7 +18,9 @@ inconsistency can be demonstrated.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
@@ -46,15 +48,24 @@ from .operators import (
     max_norm,
 )
 
-FUNCTION_NAMES = ("cos", "sin", "exp", "sqrt", "neg")
 
-_SCALAR_FUNCS = {
-    "cos": math.cos,
-    "sin": math.sin,
-    "exp": math.exp,
-    "sqrt": math.sqrt,
-    "neg": lambda x: -x,
+def _outcome_sqrt(x):
+    if np.any(np.asarray(x) < 0):
+        raise DomainError("sqrt of a negative outcome value")
+    return np.sqrt(x)
+
+
+# name -> (spectral-calculus scalar function, `evaluate`'s outcome-array function);
+# math.* and np.* stay apart because they can differ in the last bit
+_FUNCTIONS = {
+    "cos": (math.cos, np.cos),
+    "sin": (math.sin, np.sin),
+    "exp": (math.exp, np.exp),
+    "sqrt": (math.sqrt, _outcome_sqrt),
+    "neg": (operator.neg, operator.neg),
 }
+
+FUNCTION_NAMES = tuple(_FUNCTIONS)
 
 #: operators count as commuting when |[A,B]| <= COMMUTATION_RTOL * |A| * |B|
 COMMUTATION_RTOL = 1e-10
@@ -146,6 +157,8 @@ def _tokenize(text: str) -> list[_Token]:
         m = _TOKEN.match(text, pos)
         if m is None:
             raise ExpressionSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup == "number" and not math.isfinite(float(m.group())):
+            raise ExpressionSyntaxError(f"number {m.group()!r} is not finite", pos)
         if m.lastgroup != "ws":
             tokens.append(_Token(m.lastgroup, m.group(), pos))
         pos = m.end()
@@ -351,12 +364,17 @@ class PolynomialForm:
         return parts[0] if len(parts) == 1 else Add(tuple(parts))
 
 
-def _merge(into: dict, m: Monomial, coeff: float):
-    c = into.get(m, 0.0) + coeff
-    if c == 0.0:
-        into.pop(m, None)
-    else:
-        into[m] = c
+def collect_terms(pairs) -> dict:
+    """The one like-term accumulator: add each key's coefficients in the order given
+    (which fixes float sums) and drop a key once its running sum is exactly zero."""
+    out: dict = {}
+    for key, coeff in pairs:
+        c = out[key] + coeff if key in out else coeff
+        if c:
+            out[key] = c
+        else:
+            out.pop(key, None)
+    return out
 
 
 def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
@@ -373,11 +391,9 @@ def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
 
 
 def _mul_forms(a: dict, b: dict) -> dict:
-    out: dict[Monomial, float] = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            _merge(out, _mul_monomials(ma, mb), ca * cb)
-    return out
+    return collect_terms(
+        (_mul_monomials(ma, mb), ca * cb) for ma, ca in a.items() for mb, cb in b.items()
+    )
 
 
 def _expand(e) -> dict:
@@ -386,16 +402,9 @@ def _expand(e) -> dict:
     if isinstance(e, Const):
         return {_UNIT: float(e.value)} if e.value != 0.0 else {}
     if isinstance(e, Add):
-        out: dict[Monomial, float] = {}
-        for t in e.terms:
-            for m, c in _expand(t).items():
-                _merge(out, m, c)
-        return out
+        return collect_terms(mc for t in e.terms for mc in _expand(t).items())
     if isinstance(e, Mul):
-        out = {_UNIT: 1.0}
-        for f in e.factors:
-            out = _mul_forms(out, _expand(f))
-        return out
+        return functools.reduce(_mul_forms, map(_expand, e.factors), {_UNIT: 1.0})
     if isinstance(e, Pow):
         out = {_UNIT: 1.0}
         base = _expand(e.base)
@@ -417,8 +426,11 @@ def expand_polynomial(e) -> PolynomialForm:
     """Expand to the canonical commutative form; function nodes stay atomic.
 
     Monomials are ordered lexicographically by variable name, so two
-    algebraically equal expressions expand to identical forms.
+    algebraically equal expressions expand to identical forms.  A form is
+    already canonical and comes back unchanged.
     """
+    if isinstance(e, PolynomialForm):
+        return e
     d = _expand(e)
     terms = tuple(sorted(d.items(), key=lambda kv: kv[0].sort_key()))
     return PolynomialForm(terms)
@@ -446,18 +458,8 @@ def evaluate(e, assignment: Mapping[str, object]):
     if isinstance(e, Pow):
         return evaluate(e.base, assignment) ** e.exponent
     if isinstance(e, Func):
-        return _apply_numeric_func(e.name, evaluate(e.arg, assignment))
+        return _FUNCTIONS[e.name][1](evaluate(e.arg, assignment))
     raise TypeError(f"not an expression node: {e!r}")
-
-
-def _apply_numeric_func(name: str, x):
-    if name == "neg":
-        return -x
-    if name == "sqrt":
-        if np.any(np.asarray(x) < 0):
-            raise DomainError("sqrt of a negative outcome value")
-        return np.sqrt(x)
-    return {"cos": np.cos, "sin": np.sin, "exp": np.exp}[name](x)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +599,8 @@ def classify_simple(e, bindings: BindingSet) -> SimplicityVerdict:
     Variables inside function arguments count as multiplied into their
     monomial, since the function's power series multiplies them out.  A
     variable paired with itself is always fine, and operators embedded on
-    disjoint factors commute by construction.
+    disjoint factors commute by construction.  `e` may be an expression or
+    its expanded `PolynomialForm`.
     """
     form = expand_polynomial(e)
     offending: set[tuple[str, str]] = set()
@@ -619,11 +622,12 @@ def quantize(e, bindings: BindingSet) -> HermitianOperator:
     Monomials become products of commuting embedded operators (order is
     immaterial and fixed to the canonical one), function factors go through
     the spectral calculus of their single-variable argument, and sums add.
+    `e` is expanded once (a `PolynomialForm` is used as it is).
     """
-    verdict = classify_simple(e, bindings)
+    form = expand_polynomial(e)
+    verdict = classify_simple(form, bindings)
     if not verdict.simple:
         raise NonSimpleExpression(verdict.offending_pairs)
-    form = expand_polynomial(e)
     if bindings.dim == 0:
         raise UnboundVariable("cannot fix a dimension from an empty binding set")
     n = bindings.dim
@@ -646,8 +650,8 @@ def _quantize_func_atom(atom: FuncAtom, bindings: BindingSet) -> HermitianOperat
             f"{atom.name}() argument mixes variables {sorted(arg_names)}; "
             "the spectral calculus applies to one operator at a time"
         )
-    inner = quantize(atom.arg.to_expr(), bindings)
-    return apply_spectral_function(inner, _SCALAR_FUNCS[atom.name])
+    inner = quantize(atom.arg, bindings)
+    return apply_spectral_function(inner, _FUNCTIONS[atom.name][0])
 
 
 def quantize_hermitized(e, bindings: BindingSet) -> HermitianOperator:
@@ -686,7 +690,7 @@ def _hermitized_matrix(e, bindings: BindingSet) -> np.ndarray:
                 f"{e.name}() argument mixes variables {sorted(arg_names)}"
             )
         inner = hermitian_from_matrix(_hermitized_matrix(e.arg, bindings))
-        return apply_spectral_function(inner, _SCALAR_FUNCS[e.name]).matrix
+        return apply_spectral_function(inner, _FUNCTIONS[e.name][0]).matrix
     raise TypeError(f"not an expression node: {e!r}")
 
 

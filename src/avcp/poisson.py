@@ -35,11 +35,8 @@ def _coerce(c) -> Fraction:
 
 
 def _collect(pairs, n_pairs: int) -> "CanonicalPolynomial":
-    """The one like-term accumulator: sum equal exponent tuples' Fractions, drop zeros, sort."""
-    acc: dict[_Exponents, Fraction] = {}
-    for e, c in pairs:
-        acc[e] = acc[e] + c if e in acc else c
-    return CanonicalPolynomial(n_pairs, tuple(sorted((e, c) for e, c in acc.items() if c)))
+    """Merge (exponent tuple, Fraction) pairs in `expressions.collect_terms` and sort them."""
+    return CanonicalPolynomial(n_pairs, tuple(sorted(ex.collect_terms(pairs).items())))
 
 
 @dataclass(frozen=True)
@@ -143,9 +140,6 @@ class CanonicalPolynomial:
             for e, c in self.terms
         )).to_expr()
 
-    def __repr__(self):
-        return f"CanonicalPolynomial({ex.to_string(self.to_expr())!r})"
-
 
 def parse_canonical(text: str, n_pairs: int = 1) -> CanonicalPolynomial:
     """Parse a polynomial over the reserved names x1..xN, p1..pN (x, p when N=1)."""
@@ -213,17 +207,16 @@ def check_dirac_rule(
         raise ValueError("operator checks run on a single canonical pair")
     bracket = poisson_bracket(f, h)
     bindings = _fock_bindings(rep)
+    forms = [ex.expand_polynomial(poly.to_expr()) for poly in (f, h, bracket)]
     failures = {}
-    for label, poly in (("f", f), ("h", h), ("{f,h}", bracket)):
-        verdict = ex.classify_simple(poly.to_expr(), bindings)
+    for label, form in zip(("f", "h", "{f,h}"), forms):
+        verdict = ex.classify_simple(form, bindings)
         if not verdict.simple:
             failures[label] = verdict.offending_pairs
     if failures:
         raise NonSimpleInput(failures)
 
-    f_op = ex.quantize(f.to_expr(), bindings)
-    h_op = ex.quantize(h.to_expr(), bindings)
-    pb_op = ex.quantize(bracket.to_expr(), bindings)
+    f_op, h_op, pb_op = (ex.quantize(form, bindings) for form in forms)
     degree = f.total_degree() + h.total_degree()
     safe = rep.n_levels - degree
     if safe < 1:

@@ -67,6 +67,13 @@ def test_quantize_malformed_expression_exits_one(pauli_bindings_file, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("expression", ["A^1e999", "1e999*A"])
+def test_quantize_non_finite_literal_exits_one(pauli_bindings_file, capsys, expression):
+    rc = main(["quantize", expression, "--bindings", pauli_bindings_file])
+    assert rc == 1
+    assert "ExpressionSyntaxError" in capsys.readouterr().err
+
+
 def test_quantize_missing_file_exits_one(capsys):
     rc = main(["quantize", "A", "--bindings", "/nonexistent/b.json"])
     assert rc == 1

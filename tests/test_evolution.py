@@ -326,6 +326,20 @@ def test_schedule_lookup_and_restrict():
         sched.restrict(-1.0, 0.5)
 
 
+@pytest.mark.parametrize("t0", [1.5, 1.0])
+def test_restrict_window_below_tolerance_takes_the_operator_in_force(t0):
+    # shorter than the contiguity tolerance, so no piece overlaps it by more
+    ha = hermitian_from_matrix(np.diag([1.0, 0.0]))
+    hb = hermitian_from_matrix(np.diag([0.0, 1.0]))
+    sched = HamiltonianSchedule.piecewise([(0.0, 1.0, ha), (1.0, 2.0, hb)])
+    sub = sched.restrict(t0, t0 + 1e-13)
+    assert [h for _, _, h in sub.pieces] == [hb]
+    assert sub.t_start == t0 and sub.t_end == t0 + 1e-13
+    assert [h for _, _, h in sched.restrict(0.25, 0.25 + 1e-13).pieces] == [ha]
+    # clamped into the span when the window pokes past its end within tolerance
+    assert [h for _, _, h in sched.restrict(2.0, 2.0 + 1e-13).pieces] == [hb]
+
+
 def test_schedule_json_round_trip():
     h = random_hermitian(2, make_rng(2))
     sched = HamiltonianSchedule.piecewise([(0.0, 0.5, h)], alpha=0.7)

@@ -89,6 +89,16 @@ def test_parse_error_carries_offset():
     assert err.value.offset == 2
 
 
+@pytest.mark.parametrize("text, offset", [("2*1e999", 2), ("1e999*A", 0), ("A^1e999", 2), ("A + 9e400", 4)])
+def test_parse_rejects_non_finite_number_literals(text, offset):
+    # float("1e999") is inf: as a constant it printed as `inf`, which reparses as a
+    # variable, and as an exponent int(inf) raised OverflowError
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse(text)
+    assert err.value.offset == offset
+    assert parse("1e300*A^1e2") == Mul((Const(1e300), Pow(Var("A"), 100)))
+
+
 def test_parse_unknown_function():
     with pytest.raises(UnknownFunction) as err:
         parse("tan(A)")

@@ -183,6 +183,30 @@ def test_polynomial_evaluate_and_to_expr():
     assert again == poly
 
 
+def test_repr_tells_unequal_polynomials_apart():
+    third = parse_canonical("x") * Fraction(1, 3)
+    near = parse_canonical("0.3333333333333333*x")
+    assert third != near
+    assert repr(third) != repr(near)
+    assert "Fraction(1, 3)" in repr(third)
+
+
+def test_repr_is_equal_exactly_when_polynomials_are_equal():
+    rng = make_rng(13)
+    coeffs = (Fraction(1, 3), 0.3333333333333333, 0.1, Fraction(1, 10), 2, -2.5, Fraction(-5, 2))
+    polys = [
+        CanonicalPolynomial.from_terms(
+            {(int(rng.integers(0, 2)), int(rng.integers(0, 2))): coeffs[int(rng.integers(0, len(coeffs)))]
+             for _ in range(int(rng.integers(1, 3)))},
+            1,
+        )
+        for _ in range(60)
+    ]
+    for p in polys:
+        for q in polys:
+            assert (repr(p) == repr(q)) == (p == q)
+
+
 # --- bracket-commutator rule -----------------------------------------------------
 
 

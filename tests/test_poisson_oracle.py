@@ -4,8 +4,8 @@
 verbatim: every operation merged like terms in its own dict with a
 `Fraction(0)` default and handed the result back to `from_terms`, which
 re-validated and re-coerced it.  The library now routes every site through one
-accumulator (`poisson._collect`); these tests require the same sorted
-`Fraction` terms, term for term, on seeded random inputs.
+accumulator (`poisson._collect`, over `expressions.collect_terms`); these tests
+require the same sorted `Fraction` terms, term for term, on seeded random inputs.
 """
 
 from __future__ import annotations
