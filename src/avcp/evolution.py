@@ -17,10 +17,12 @@ from .errors import DimMismatch, ScheduleGap
 from .operators import (
     HermitianOperator,
     QuantumState,
-    cache_spectra,
+    as_complex_matrix,
     commutator,
+    eigh_stack,
     expectation,
     hermitian_from_matrix,
+    hermitian_gate,
     matrix_from_dict,
     matrix_to_dict,
 )
@@ -36,15 +38,21 @@ class HamiltonianSchedule:
     """Hamiltonian as a function of time over a finite interval.
 
     Either a list of contiguous constant `pieces` (t0, t1, operator) or a
-    callable `fn(t) -> HermitianOperator`, together with the covered span and
-    the evolution constant `alpha`.
+    callable `fn(t)` returning a HermitianOperator or a matrix, with the covered
+    span (finite) and the evolution constant `alpha` (finite and positive).
     """
 
     t_start: float
     t_end: float
     alpha: float = 1.0
     pieces: tuple[tuple[float, float, HermitianOperator], ...] | None = None
-    fn: Callable[[float], HermitianOperator] | None = None
+    fn: Callable[[float], HermitianOperator | np.ndarray] | None = None
+
+    def __post_init__(self):
+        if not (np.isfinite([self.t_start, self.t_end]).all() and 0 <= self.t_end - self.t_start < np.inf):
+            raise ScheduleGap(f"schedule span [{self.t_start}, {self.t_end}] must be finite and not reversed")
+        if not 0 < self.alpha < np.inf:
+            raise ScheduleGap(f"alpha must be finite and positive, got {self.alpha!r}")
 
     @classmethod
     def piecewise(cls, pieces: Sequence[tuple[float, float, HermitianOperator]], alpha: float = 1.0):
@@ -57,10 +65,10 @@ class HamiltonianSchedule:
         span = items[-1][1] - items[0][0]
         tol = _CONTIGUITY_RTOL * max(1.0, abs(span))
         for (a0, b0, _), (a1, _, _) in zip(items, items[1:]):
-            if abs(a1 - b0) > tol:
+            if not abs(a1 - b0) <= tol:  # "not <=", so that a nan endpoint fails too
                 raise ScheduleGap(f"pieces are not contiguous at t={b0!r} vs {a1!r}")
         for a, b, _ in items:
-            if b < a:
+            if not a <= b:
                 raise ScheduleGap(f"piece with negative duration: [{a}, {b}]")
         return cls(items[0][0], items[-1][1], float(alpha), tuple(items), None)
 
@@ -70,8 +78,6 @@ class HamiltonianSchedule:
 
     @classmethod
     def from_function(cls, fn, t_start: float, t_end: float, alpha: float = 1.0):
-        if t_end < t_start:
-            raise ScheduleGap("t_end precedes t_start")
         return cls(float(t_start), float(t_end), float(alpha), None, fn)
 
     @property
@@ -157,22 +163,30 @@ def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumSt
     span = sched.t_end - sched.t_start
     if span == 0:
         return QuantumState(v.amplitudes.copy(), v.factor_dims)
+    if sched.fn is None and sched.dim != v.dim:
+        raise DimMismatch(f"schedule dim {sched.dim} vs state dim {v.dim}")
     amps = np.array(v.amplitudes, dtype=complex)
     dt = span / steps
     block = max(1, min(_BLOCK_SLICES, _BLOCK_ENTRIES // v.dim**2))
     for start in range(0, steps, block):
-        hs = [sched.at(sched.t_start + (k + 0.5) * dt) for k in range(start, min(start + block, steps))]
-        bad = next((h.dim for h in hs if h.dim != v.dim), None)
-        if bad is not None:
-            raise DimMismatch(f"schedule dim {bad} vs state dim {v.dim}")
-        cache_spectra(hs)
-        for h in hs:
-            amps = propagate(h, dt, amps, sched.alpha)
+        mids = [sched.t_start + (k + 0.5) * dt for k in range(start, min(start + block, steps))]
+        if sched.fn is None:  # a piece's spectrum is diagonalised once and cached on its operator
+            spectra = [sched.at(t).spectrum for t in mids]
+            values, vectors = np.array([s.eigenvalues for s in spectra]), [s.eigenvectors for s in spectra]
+        else:  # one validated stack: the block's dims first, then each slice in order as HermitianOperator would
+            mats = [h.matrix if isinstance(h, HermitianOperator) else h for h in map(sched.fn, mids)]
+            for m in mats:
+                if np.shape(m) != (v.dim, v.dim):
+                    raise DimMismatch(f"schedule dim {as_complex_matrix(m).shape[0]} vs state dim {v.dim}")
+            mats = np.array(mats, dtype=complex)  # rebinding drops fn's results before the next block is sampled
+            hermitian_gate(mats)
+            values, vectors, _, _ = eigh_stack(mats)
+        for phases, vecs in zip(np.exp(-1j * values * (dt / sched.alpha)), vectors):
+            amps = vecs @ (phases * (vecs.conj().T @ amps))
             norm = float(np.linalg.norm(amps))
             if abs(norm - 1.0) > _NORM_DRIFT_TOL:
                 raise DimMismatch(f"norm drifted by {abs(norm - 1.0):.3e} in one slice")
             amps /= norm
-        del hs, h  # this block's operators go before the next block is sampled
     return QuantumState(amps, v.factor_dims)
 
 

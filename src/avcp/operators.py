@@ -9,6 +9,8 @@ platform.  All tolerance checks use the max-norm (largest entry magnitude).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -101,10 +103,7 @@ class HermitianOperator:
 
     def __init__(self, matrix):
         arr = as_complex_matrix(matrix)
-        asym = max_norm(arr - arr.conj().T)
-        allowed = HERMITICITY_RTOL * max_norm(arr)
-        if asym > allowed:
-            raise NotHermitian(asym, allowed)
+        hermitian_gate(arr[None])
         arr.setflags(write=False)
         self.matrix = arr
         self._spectrum = None
@@ -122,6 +121,19 @@ class HermitianOperator:
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
+
+
+def hermitian_gate(a: np.ndarray) -> None:
+    """Finite check and Hermiticity gate over an (n, d, d) complex stack, in order: the first failing
+    matrix raises the NonFinite or NotHermitian(asym, allowed) that `HermitianOperator` raises for it."""
+    finite = np.isfinite(a).all(axis=(1, 2))
+    ok = a[: len(a) if finite.all() else int(np.argmin(finite))]  # the matrices before the first non-finite one
+    asym = np.abs(ok - ok.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    allowed = HERMITICITY_RTOL * np.abs(ok).max(axis=(1, 2), initial=0.0)
+    for i in np.flatnonzero(asym > allowed)[:1]:
+        raise NotHermitian(float(asym[i]), float(allowed[i]))
+    if len(ok) < len(a):
+        raise NonFinite("matrix contains non-finite entries")
 
 
 def hermitian_from_matrix(m) -> HermitianOperator:
@@ -187,18 +199,39 @@ def eigensystem(h: HermitianOperator) -> Spectrum:
 
 
 def eigensystems(mats) -> list[Spectrum]:
-    """Deterministic eigendecompositions of a stack of equal-size Hermitian matrices.
+    """Deterministic eigendecompositions of a stack of equal-size Hermitian matrices: `eigh_stack` as `Spectrum`s."""
+    return [Spectrum(*parts) for parts in zip(*eigh_stack(np.asarray(mats, dtype=complex)))]
 
-    One batched `eigh` (bit-identical to per-matrix calls); ascending eigenvalues, ties within the
-    degeneracy tolerance ordered by the lexicographic key (re, im, re, im, ...) of the phase-fixed
-    eigenvector.  Raises ConvergenceFailure if any matrix fails a gate."""
-    a = np.asarray(mats, dtype=complex)
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS; a constant 1 and a no-op for another BLAS."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # symbol lookup also searches the libraries it links
+    get, put = (getattr(lib, f"scipy_openblas_{op}_num_threads64_", None) for op in ("get", "set"))
+    if get is None or put is None:
+        return (lambda: 1), (lambda n: None)
+    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+    return get, put
+
+
+def eigh_stack(a: np.ndarray):
+    """Eigenvalues (n, d), eigenvectors (n, d, d), outcome groups and group values of an (n, d, d) Hermitian stack.
+
+    One batched `eigh` (bit-identical to per-matrix calls), on one thread of numpy's bundled OpenBLAS: from d = 97
+    up the eigenvectors change in the last bits with the thread count.  Ascending eigenvalues, ties within the
+    degeneracy tolerance ordered by the lexicographic key (re, im, re, im, ...) of the phase-fixed eigenvector.
+    Raises ConvergenceFailure if any matrix fails a gate."""
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise DimMismatch(f"expected a stack of square matrices, got shape {a.shape}")
+    get_threads, set_threads = _openblas_threads()
+    threads = get_threads()
     try:
+        set_threads(1)
         eigenvalues, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in practice
         raise ConvergenceFailure(str(exc)) from None
+    finally:
+        set_threads(threads)
     n, d = eigenvalues.shape
     if d:
         # a unit column always has an entry of at least 1/sqrt(d), far above the cutoff;
@@ -236,14 +269,7 @@ def eigensystems(mats) -> list[Spectrum]:
 
     eigenvalues.setflags(write=False)
     vectors.setflags(write=False)
-    return [Spectrum(eigenvalues[i], vectors[i], groups[i], group_values[i]) for i in range(n)]
-
-
-def cache_spectra(ops: Sequence[HermitianOperator]) -> None:
-    """Fill every empty spectrum cache in `ops`, diagonalising the distinct operators in one `eigensystems` call."""
-    fresh = list({id(h): h for h in ops if h._spectrum is None}.values())
-    for h, s in zip(fresh, eigensystems([h.matrix for h in fresh]) if fresh else ()):
-        h._spectrum = s
+    return eigenvalues, vectors, groups, group_values
 
 
 def _runs(values: np.ndarray, tol: float) -> list[tuple[int, int]]:

@@ -13,7 +13,6 @@ x^3 / p^3 pair shows what goes wrong when the bracket is not simple.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -84,7 +83,7 @@ class CanonicalPolynomial:
 
     def __sub__(self, other):
         other = self._match(other)
-        return _collect(itertools.chain(self.terms, ((e, -c) for e, c in other.terms)), self.n_pairs)
+        return _collect(self.terms + tuple((e, -c) for e, c in other.terms), self.n_pairs)
 
     def __mul__(self, other):
         other = self._match(other)
@@ -167,14 +166,15 @@ def parse_canonical(text: str, n_pairs: int = 1) -> CanonicalPolynomial:
 
 
 def poisson_bracket(f: CanonicalPolynomial, h: CanonicalPolynomial) -> CanonicalPolynomial:
-    """{f, h} = sum_i (df/dx_i dh/dp_i - dh/dx_i df/dp_i), exactly."""
+    """{f, h} = sum_i (df/dx_i dh/dp_i - dh/dx_i df/dp_i), exactly, in one pass: terms c1 x^a p^b of f and
+    c2 x^c p^d of h add c1 c2 (a_i d_i - c_i b_i) at exponent e1 + e2 - 1_{x_i} - 1_{p_i} for each pair i."""
     if f.n_pairs != h.n_pairs:
         raise ValueError("polynomials use different numbers of canonical pairs")
-    out = CanonicalPolynomial.zero(f.n_pairs)
-    for i in range(f.n_pairs):
-        out = out + f.differentiate("x", i) * h.differentiate("p", i)
-        out = out - h.differentiate("x", i) * f.differentiate("p", i)
-    return out
+    n = f.n_pairs  # position k is x_i or p_i exactly when k % n == i
+    return _collect(((tuple(a + b - (k % n == i) for k, (a, b) in enumerate(zip(e1, e2))),
+                      Fraction(c1.numerator * c2.numerator * w, c1.denominator * c2.denominator))
+                     for e1, c1 in f.terms for e2, c2 in h.terms for i in range(n)
+                     for w in (e1[i] * e2[i + n] - e2[i] * e1[i + n],) if w), n)
 
 
 def _fock_bindings(rep: FockTruncation) -> BindingSet:

@@ -249,7 +249,7 @@ def _suite_evolution(seed: int, alpha: float, levels: int, dims) -> list[dict]:
     v0 = random_state(3, rng)
 
     def ht(t):
-        return HermitianOperator(h0.matrix + t * h1.matrix)
+        return h0.matrix + t * h1.matrix
 
     sched_t = HamiltonianSchedule.from_function(ht, 0.0, 1.0, alpha)
     ref = evolve(v0, sched_t, 4096).amplitudes

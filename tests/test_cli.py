@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import os
@@ -266,8 +267,10 @@ def test_experiment_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 
 @pytest.mark.xfail(
+    not hasattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), "scipy_openblas_set_num_threads64_"),
     reason="from d = 97 up, numpy.linalg.eigh returns eigenvectors that differ in the last bits "
-    "with the BLAS thread count, and exact_rhs inherits that difference",
+    "with the BLAS thread count, and exact_rhs inherits that difference, unless numpy's bundled "
+    "OpenBLAS lets eigh_stack pin it to one thread",
     strict=False,
 )
 def test_experiment_bytes_at_the_enumeration_budget_do_not_depend_on_blas_threads(tmp_path):
@@ -282,6 +285,33 @@ def test_experiment_bytes_at_the_enumeration_budget_do_not_depend_on_blas_thread
 
 
 # --- evolve -----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "flags, schedule",
+    [
+        (["--alpha", "0"], None),
+        (["--alpha", "nan"], None),
+        (["--alpha", "inf"], None),
+        (["--alpha", "-2"], None),
+        ([], {"alpha": 0.0}),
+        ([], {"pieces": [{"t0": 0.0, "t1": math.inf}]}),
+        ([], {"pieces": [{"t0": math.nan, "t1": 1.0}]}),
+    ],
+)
+def test_evolve_rejects_a_bad_alpha_or_endpoint_with_exit_one(tmp_path, flags, schedule):
+    piece = {"t0": 0.0, "t1": 1.0, "operator": matrix_to_dict(SX)}
+    schedule = schedule or {}
+    pieces = [{**piece, **p} for p in schedule.get("pieces", [{}])]
+    (tmp_path / "state.json").write_text(json.dumps({"dim": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]}))
+    (tmp_path / "sched.json").write_text(json.dumps({**schedule, "pieces": pieces}))
+    rc, out, err = _run_cli_with_env(
+        {}, "evolve", "--state", str(tmp_path / "state.json"), "--schedule", str(tmp_path / "sched.json"), *flags
+    )
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ScheduleGap: ") and "Traceback" not in err, err
+
 
 
 def test_evolve_round_trip(tmp_path, capsys):

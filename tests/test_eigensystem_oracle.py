@@ -6,7 +6,8 @@ finder and the in-run sort became array operations.  It is kept verbatim:
 it loops over every column and sorts every run with Python tuples, so it is
 slow, but it shares none of that code with `eigensystem`.  Every operator in
 the corpus must give the same eigenvalue, eigenvector and group-value bytes,
-the same eigenvector memory layout and the same outcome groups from both,
+the same eigenvector memory layout and the same outcome groups from both
+(the one change to the old code: its `eigh` runs on one BLAS thread, as the package's does),
 because every Born weight, collapse and group value in the package is
 derived from them.  The batched `eigensystems` must also give, for every
 matrix of a stack, exactly what `eigensystem` gives for that matrix alone.
@@ -18,6 +19,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from avcp import operators
 from avcp.angular import casimir_matrix, spin_operators
 from avcp.errors import ConvergenceFailure, DimMismatch
 from avcp.kinematics import build_fock
@@ -38,6 +40,18 @@ from avcp.operators import (
 )
 
 
+def _eigh_on_one_blas_thread(a):
+    """`np.linalg.eigh` on the one OpenBLAS thread `eigh_stack` pins it to where it can: from d = 97 up
+    the eigenvectors change in the last bits with the thread count."""
+    get_threads, set_threads = operators._openblas_threads()
+    threads = get_threads()
+    try:
+        set_threads(1)
+        return np.linalg.eigh(a)
+    finally:
+        set_threads(threads)
+
+
 def _eigensystem(h: HermitianOperator) -> Spectrum:
     """Deterministic eigendecomposition of a Hermitian operator.
 
@@ -46,7 +60,7 @@ def _eigensystem(h: HermitianOperator) -> Spectrum:
     """
     a = h.matrix
     try:
-        eigenvalues, vectors = np.linalg.eigh(a)
+        eigenvalues, vectors = _eigh_on_one_blas_thread(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in practice
         raise ConvergenceFailure(str(exc)) from None
     eigenvalues = np.asarray(eigenvalues, dtype=float)

@@ -1,4 +1,5 @@
 import math
+import re
 import weakref
 
 import numpy as np
@@ -9,7 +10,7 @@ import avcp.angular
 import avcp.evolution
 import avcp.kinematics
 from avcp.angular import check_frame_rotation_covariance, check_rotation_identity, spin_operators
-from avcp.errors import DimMismatch, ScheduleGap
+from avcp.errors import AvcpError, DimMismatch, ScheduleGap
 from avcp.evolution import (
     HamiltonianSchedule,
     check_ehrenfest,
@@ -28,8 +29,10 @@ from avcp.kinematics import (
 from avcp.operators import (
     HermitianOperator,
     QuantumState,
+    eigh_stack,
     expectation,
     hermitian_from_matrix,
+    hermitian_gate,
     make_rng,
     max_norm,
     random_hermitian,
@@ -355,10 +358,10 @@ def test_evolve_dim_mismatch():
 
 
 def test_callable_of_the_wrong_dim_fails_before_any_diagonalisation(monkeypatch):
-    def no_spectra(hs):
-        raise AssertionError("cache_spectra ran before the dimension check")
+    def no_spectra(a):
+        raise AssertionError("eigh_stack ran before the dimension check")
 
-    monkeypatch.setattr(avcp.evolution, "cache_spectra", no_spectra)
+    monkeypatch.setattr(avcp.evolution, "eigh_stack", no_spectra)
     h = random_hermitian(3, make_rng(3)).matrix
     sched = HamiltonianSchedule.from_function(lambda t: h, 0.0, 1.0)
     with pytest.raises(DimMismatch, match="schedule dim 3 vs state dim 2"):
@@ -374,6 +377,95 @@ def test_callable_that_changes_dim_in_a_later_block_fails(switch):
     sched = HamiltonianSchedule.from_function(lambda t: h3 if t < switch else h4, 0.0, 2.0)
     with pytest.raises(DimMismatch, match="schedule dim 4 vs state dim 3"):
         evolve(random_state(3, rng), sched, 600)
+
+
+def _second_block_fault(fault):
+    """A d = 3 linear drive over 600 slices (blocks of 256) whose slice 300, inside the second block,
+    is `fault(matrix)`; returns the schedule and that slice's raw matrix."""
+    v, fn = _linear_drive(3, 70)
+    dt = 1.0 / 600
+    bad_t = (300 + 0.5) * dt
+    bad = fault(fn(bad_t))
+    return v, HamiltonianSchedule.from_function(lambda t: bad if t == bad_t else fn(t), 0.0, 1.0), bad
+
+
+def _skew(m):
+    m = m.copy()
+    m[0, 1] += 1e-3
+    return m
+
+
+def _non_finite(m):
+    m = m.copy()
+    m[2, 2] = math.nan
+    return m
+
+
+@pytest.mark.parametrize("fault", [_skew, _non_finite], ids=lambda f: f.__name__[1:])
+def test_a_bad_slice_in_a_later_block_raises_what_its_operator_raises(fault, monkeypatch):
+    v, sched, bad = _second_block_fault(fault)
+    with pytest.raises(AvcpError) as want:
+        HermitianOperator(bad)
+    stacks = []
+    monkeypatch.setattr(avcp.evolution, "eigh_stack", lambda a: stacks.append(len(a)) or eigh_stack(a))
+    with pytest.raises(type(want.value)) as got:
+        evolve(v, sched, 600)
+    assert str(got.value) == str(want.value)
+    assert stacks == [256]  # the first block only: the faulty block is never diagonalised
+
+
+def test_hermitian_gate_names_the_first_failing_matrix_of_a_stack():
+    rng = make_rng(71)
+    good = [random_hermitian(4, rng).matrix for _ in range(3)]
+    for faults in ([_skew, _non_finite], [_non_finite, _skew]):
+        a = np.array([good[0], faults[0](good[1]), faults[1](good[2])])
+        with pytest.raises(AvcpError) as want:
+            HermitianOperator(a[1])
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            hermitian_gate(a)
+    hermitian_gate(np.array(good))
+
+
+def test_callable_may_return_a_matrix_or_an_operator():
+    v, fn = _linear_drive(5, 72)
+    raw = evolve(v, HamiltonianSchedule.from_function(fn, 0.0, 1.5, 0.8), 300).amplitudes
+    wrapped = evolve(v, HamiltonianSchedule.from_function(lambda t: HermitianOperator(fn(t)), 0.0, 1.5, 0.8), 300)
+    assert raw.tobytes() == wrapped.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_schedules_reject_an_alpha_that_is_not_finite_and_positive(alpha):
+    h = random_hermitian(2, make_rng(73))
+    for build in (
+        lambda: HamiltonianSchedule.constant(h, 0.0, 1.0, alpha),
+        lambda: HamiltonianSchedule.from_function(lambda t: h, 0.0, 1.0, alpha),
+        lambda: HamiltonianSchedule.from_dict({**HamiltonianSchedule.constant(h, 0.0, 1.0).to_dict(), "alpha": alpha}),
+    ):
+        with pytest.raises(ScheduleGap, match="alpha must be finite and positive"):
+            build()
+
+
+@pytest.mark.parametrize(
+    "t0, t1", [(0.0, math.inf), (0.0, math.nan), (-math.inf, 0.0), (-1e308, 1e308), (1.0, 0.0)]
+)
+def test_schedules_reject_a_span_that_is_not_finite_or_is_reversed(t0, t1):
+    def fn(t):
+        raise AssertionError("fn ran for a schedule with a bad span")
+
+    h = random_hermitian(2, make_rng(74))
+    with pytest.raises(ScheduleGap, match="must be finite and not reversed"):
+        HamiltonianSchedule.from_function(fn, t0, t1)
+    with pytest.raises(ScheduleGap):
+        HamiltonianSchedule.piecewise([(t0, t1, h)])
+
+
+def test_piecewise_schedules_reject_a_non_finite_inner_endpoint():
+    # every comparison with nan is false, so the contiguity check must be written to fail on it
+    h = random_hermitian(2, make_rng(75))
+    with pytest.raises(ScheduleGap, match="not contiguous"):
+        HamiltonianSchedule.piecewise([(0.0, math.nan, h), (math.nan, 1.0, h)])
+    with pytest.raises(ScheduleGap, match="not contiguous"):
+        HamiltonianSchedule.piecewise([(0.0, math.inf, h), (math.inf, 1.0, h)])
 
 
 # --- conservation checks --------------------------------------------------------------

@@ -230,6 +230,50 @@ def test_arithmetic_matches_reference(n_pairs):
     assert not bad, bad[:3]
 
 
+def _verify_shaped_terms(rng) -> dict:
+    """Terms drawn like `verify._random_poly`: two pairs, degree at most 3, integer coefficients."""
+    terms = {}
+    for _ in range(int(rng.integers(1, 5))):
+        terms[tuple(int(rng.integers(0, 4)) for _ in range(4))] = int(rng.integers(-5, 6))
+    return terms
+
+
+def _bracket_cases(rng, n_pairs: int, draw):
+    """Yield (label, new, reference) for the brackets `verify poisson` takes: plain, antisymmetric,
+    Leibniz-shaped {f g, h} with its right side, and the three nested brackets of the Jacobi sum."""
+    (f, rf), (g, rg), (h, rh) = (_pair(draw(rng), n_pairs) for _ in range(3))
+    yield "{f, g}", poisson_bracket(f, g), _reference_bracket(rf, rg)
+    yield "{g, f}", poisson_bracket(g, f), _reference_bracket(rg, rf)
+    yield "{f g, h}", poisson_bracket(f * g, h), _reference_bracket(rf * rg, rh)
+    yield (
+        "f {g, h} + {f, h} g",
+        f * poisson_bracket(g, h) + poisson_bracket(f, h) * g,
+        rf * _reference_bracket(rg, rh) + _reference_bracket(rf, rh) * rg,
+    )
+    for label, (a, ra), (b, rb), (c, rc) in (
+        ("{f, {g, h}}", (f, rf), (g, rg), (h, rh)),
+        ("{g, {h, f}}", (g, rg), (h, rh), (f, rf)),
+        ("{h, {f, g}}", (h, rh), (f, rf), (g, rg)),
+    ):
+        yield label, poisson_bracket(a, poisson_bracket(b, c)), _reference_bracket(ra, _reference_bracket(rb, rc))
+
+
+@pytest.mark.parametrize(
+    "n_pairs, draw",
+    [(2, _verify_shaped_terms), (1, lambda rng: _random_terms(rng, 1, 3)), (3, lambda rng: _random_terms(rng, 3))],
+    ids=["verify_shaped", "one_pair", "three_pairs"],
+)
+def test_nested_and_leibniz_brackets_match_reference(n_pairs, draw):
+    rng = make_rng(3000 + n_pairs)
+    count, bad = 0, []
+    for _ in range(40):
+        c, b = _mismatches(_bracket_cases(rng, n_pairs, draw))
+        count += c
+        bad += b
+    assert count == 280
+    assert not bad, bad[:3]
+
+
 def _random_canonical_text(rng, n_pairs: int, aliases: bool) -> str:
     names = [f"x{i + 1}" for i in range(n_pairs)] + [f"p{i + 1}" for i in range(n_pairs)]
     if aliases:
