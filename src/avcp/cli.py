@@ -87,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", nargs="?", default="all")
     p.add_argument("--bindings", default=None, help="also validate this bindings file")
-    p.set_defaults(action="verify")
     _add_common(p)
 
     p = sub.add_parser("demo", help="run a named demonstration")
@@ -101,17 +100,17 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("kinematics", help="position/momentum representation checks")
-    p.add_argument("action", nargs="?", default="verify")
+    p.add_argument("action", nargs="?", default="verify", choices=("verify",))
     p.set_defaults(suite="kinematics", bindings=None)
     _add_common(p)
 
     p = sub.add_parser("angular", help="angular momentum checks")
-    p.add_argument("action", nargs="?", default="verify")
+    p.add_argument("action", nargs="?", default="verify", choices=("verify",))
     p.set_defaults(suite="angular", bindings=None)
     _add_common(p)
 
     p = sub.add_parser("poisson", help="bracket rule checks")
-    p.add_argument("action", nargs="?", default="check")
+    p.add_argument("action", nargs="?", default="check", choices=("check", "counterexample"))
     p.add_argument("--f", default="x", help="first polynomial")
     p.add_argument("--h", default="p^2 + x^2", help="second polynomial")
     p.add_argument("--gamma", type=float, default=1.0)
@@ -137,10 +136,7 @@ def main(argv=None) -> int:
             text_renderer=lambda d: f"non-simple expression; offending pairs: {d['offending_pairs']}",
         )
         return 2
-    except AvcpError as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (AvcpError, OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
 
@@ -164,8 +160,6 @@ def _dispatch(args, alpha: float) -> int:
         return 0
 
     if args.command in ("verify", "kinematics", "angular"):
-        if args.action != "verify":
-            raise ValueError(f"unknown {args.command} action {args.action!r}")
         extra = _load_json(args.bindings) if args.bindings else None
         report = verify_mod.run_suite(
             args.suite,
@@ -206,11 +200,9 @@ def _dispatch(args, alpha: float) -> int:
             }
             _emit(payload, args.format, args.out)
             return 0 if r.passed else 3
-        if args.action == "counterexample":
-            ce = counterexample_report(args.gamma, rep)
-            _emit(ce.to_dict(), args.format, args.out)
-            return 0
-        raise ValueError(f"unknown poisson action {args.action!r}")
+        ce = counterexample_report(args.gamma, rep)
+        _emit(ce.to_dict(), args.format, args.out)
+        return 0
 
     raise ValueError(f"unknown command {args.command!r}")
 

@@ -69,7 +69,7 @@ class HamiltonianSchedule:
                 raise ScheduleGap(f"pieces are not contiguous at t={b0!r} vs {a1!r}")
         for a, b, _ in items:
             if not a <= b:
-                raise ScheduleGap(f"piece with negative duration: [{a}, {b}]")
+                raise ScheduleGap(f"piece [{a}, {b}] must be finite and not reversed")
         return cls(items[0][0], items[-1][1], float(alpha), tuple(items), None)
 
     @classmethod
@@ -190,12 +190,17 @@ def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumSt
     return QuantumState(amps, v.factor_dims)
 
 
+def evolved_expectation(
+    f: HermitianOperator, h: HermitianOperator, v: QuantumState, dt: float, alpha: float = 1.0
+) -> float:
+    """<F> in v after exp(-i H dt / alpha), renormalised: the probe behind every drift and conservation check."""
+    return expectation(f, QuantumState.normalized(propagate(h, dt, v.amplitudes, alpha), v.factor_dims))
+
+
 def check_energy_conservation(v: QuantumState, h: HermitianOperator, dt: float, alpha: float = 1.0) -> float:
     """|<H> after - <H> before| under the constant-background propagator."""
     before = expectation(h, v)
-    after_amps = propagate(h, dt, v.amplitudes, alpha)
-    after = expectation(h, QuantumState.normalized(after_amps, v.factor_dims))
-    return abs(after - before)
+    return abs(evolved_expectation(h, h, v, dt, alpha) - before)
 
 
 def check_ehrenfest(
@@ -206,10 +211,6 @@ def check_ehrenfest(
     The residual is O(dt); pick dt well below 1/|H| for a meaningful check.
     """
     now = expectation(f, v)
-    later_amps = propagate(h, dt, v.amplitudes, alpha)
-    later = expectation(f, QuantumState.normalized(later_amps, v.factor_dims))
-    drift = (later - now) / dt
-    rate = (1j / alpha) * complex(
-        v.amplitudes.conj() @ (commutator(h, f) @ v.amplitudes)
-    )
+    drift = (evolved_expectation(f, h, v, dt, alpha) - now) / dt
+    rate = (1j / alpha) * complex(v.amplitudes.conj() @ (commutator(h, f) @ v.amplitudes))
     return abs(drift - rate.real) + abs(rate.imag)

@@ -168,7 +168,6 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -254,9 +253,6 @@ def parse(text: str) -> ObservableExpr:
 def to_string(e) -> str:
     """Render an expression back into the grammar."""
     return _fmt(e, 0)
-
-
-_PREC = {Add: 1, Mul: 2, Pow: 3}
 
 
 def _fmt(e, parent_prec: int) -> str:
@@ -502,18 +498,12 @@ class BindingSet:
         if len(self._bindings) != len(items):
             raise ValueError("duplicate binding names")
 
-        dims = set()
+        dims = set() if self.factor_dims is None else {int(np.prod(self.factor_dims))}
         for b in items:
             if b.subsystem is None:
                 dims.add(b.operator.dim)
-            else:
-                if self.factor_dims is None:
-                    raise DimMismatch(
-                        f"binding {b.name!r} names a subsystem but no factor dims were given"
-                    )
-                dims.add(int(np.prod(self.factor_dims)))
-        if self.factor_dims is not None:
-            dims.add(int(np.prod(self.factor_dims)))
+            elif self.factor_dims is None:
+                raise DimMismatch(f"binding {b.name!r} names a subsystem but no factor dims were given")
         if len(dims) > 1:
             raise DimMismatch(f"bindings disagree on the total dimension: {sorted(dims)}")
         self.dim = dims.pop() if dims else 0
@@ -560,12 +550,9 @@ class BindingSet:
             factor_dims = d.get("factor_dims")
         items = []
         for name, value in entries.items():
-            if "re" in value:
-                items.append(MeasurementBinding(name, hermitian_from_matrix(matrix_from_dict(value))))
-            else:
-                op = hermitian_from_matrix(matrix_from_dict(value["operator"]))
-                sub = value.get("subsystem")
-                items.append(MeasurementBinding(name, op, None if sub is None else int(sub)))
+            op = hermitian_from_matrix(matrix_from_dict(value if "re" in value else value["operator"]))
+            sub = None if "re" in value else value.get("subsystem")
+            items.append(MeasurementBinding(name, op, None if sub is None else int(sub)))
         return cls(items, factor_dims)
 
     def to_dict(self) -> dict:

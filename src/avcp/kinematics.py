@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimTooSmall, UnsafeState
-from .evolution import propagate, propagator
+from .evolution import check_energy_conservation, evolved_expectation, propagator
 from .operators import HermitianOperator, QuantumState, commutator, expectation
 
 #: maximum total weight on the top boundary levels for a state to count safe
@@ -79,16 +79,13 @@ def displacement_shift_residual(f: FockTruncation, v: QuantumState, eps: float) 
     """|<x> after displacement - (<x> before + eps)| on a safe state."""
     _require_safe(v)
     before = expectation(f.x_op, v)
-    shifted = QuantumState.normalized(propagate(f.p_op, eps, v.amplitudes, f.alpha))
-    after = expectation(f.x_op, shifted)
+    after = evolved_expectation(f.x_op, f.p_op, v, eps, f.alpha)
     return abs(after - (before + eps))
 
 
 def momentum_invariance_residual(f: FockTruncation, v: QuantumState, eps: float) -> float:
     """|<p> after displacement - <p> before|; exactly zero in exact arithmetic."""
-    before = expectation(f.p_op, v)
-    shifted = QuantumState.normalized(propagate(f.p_op, eps, v.amplitudes, f.alpha))
-    return abs(expectation(f.p_op, shifted) - before)
+    return check_energy_conservation(v, f.p_op, eps, f.alpha)
 
 
 def photon_drift_check(f: FockTruncation, c: float, state: QuantumState, dt: float) -> float:
@@ -99,8 +96,7 @@ def photon_drift_check(f: FockTruncation, c: float, state: QuantumState, dt: flo
     _require_safe(state)
     h = HermitianOperator(c * f.p_op.matrix)
     before = expectation(f.x_op, state)
-    after_amps = propagate(h, dt, state.amplitudes, f.alpha)
-    after = expectation(f.x_op, QuantumState.normalized(after_amps))
+    after = evolved_expectation(f.x_op, h, state, dt, f.alpha)
     return abs((after - before) / dt - c)
 
 

@@ -45,11 +45,17 @@ def max_norm(m) -> float:
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Return `m` as a square complex ndarray with finite entries."""
+def _square_matrix(m) -> np.ndarray:
+    """Return `m` as a square complex ndarray, entries unchecked."""
     arr = np.array(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {arr.shape}")
+    return arr
+
+
+def as_complex_matrix(m) -> np.ndarray:
+    """Return `m` as a square complex ndarray with finite entries."""
+    arr = _square_matrix(m)
     if not np.isfinite(arr).all():
         raise NonFinite("matrix contains non-finite entries")
     return arr
@@ -102,8 +108,8 @@ class HermitianOperator:
     __slots__ = ("matrix", "_spectrum")
 
     def __init__(self, matrix):
-        arr = as_complex_matrix(matrix)
-        hermitian_gate(arr[None])
+        arr = _square_matrix(matrix)
+        hermitian_gate(arr[None])  # the finite check, then the Hermiticity gate
         arr.setflags(write=False)
         self.matrix = arr
         self._spectrum = None

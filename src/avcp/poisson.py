@@ -143,13 +143,10 @@ class CanonicalPolynomial:
 def parse_canonical(text: str, n_pairs: int = 1) -> CanonicalPolynomial:
     """Parse a polynomial over the reserved names x1..xN, p1..pN (x, p when N=1)."""
     form = ex.expand_polynomial(ex.parse(text))
-    allowed: dict[str, int] = {}
-    for i in range(n_pairs):
-        allowed[f"x{i + 1}"] = i
-        allowed[f"p{i + 1}"] = n_pairs + i
+    namer = CanonicalPolynomial.zero(n_pairs)
+    allowed = {namer.variable_name(pos): pos for pos in range(2 * n_pairs)}
     if n_pairs == 1:
-        allowed["x"] = 0
-        allowed["p"] = 1
+        allowed.update(x1=0, p1=1)
     pairs = []
     for m, c in form.terms:
         if m.func_powers:
@@ -177,10 +174,6 @@ def poisson_bracket(f: CanonicalPolynomial, h: CanonicalPolynomial) -> Canonical
                      for w in (e1[i] * e2[i + n] - e2[i] * e1[i + n],) if w), n)
 
 
-def _fock_bindings(rep: FockTruncation) -> BindingSet:
-    return BindingSet({"x": rep.x_op, "p": rep.p_op})
-
-
 @dataclass(frozen=True)
 class DiracRuleReport:
     """Residual of i*alpha*Op({f,h}) = [Op(f), Op(h)] on the safe sub-block."""
@@ -206,7 +199,7 @@ def check_dirac_rule(
     if f.n_pairs != 1 or h.n_pairs != 1:
         raise ValueError("operator checks run on a single canonical pair")
     bracket = poisson_bracket(f, h)
-    bindings = _fock_bindings(rep)
+    bindings = BindingSet({"x": rep.x_op, "p": rep.p_op})
     forms = [ex.expand_polynomial(poly.to_expr()) for poly in (f, h, bracket)]
     failures = {}
     for label, form in zip(("f", "h", "{f,h}"), forms):

@@ -302,18 +302,11 @@ def _suite_angular(seed: int, alpha: float, levels: int, dims) -> list[dict]:
     rng = make_rng(seed)
     lo, hi = dims
     checks = []
-    worst_cyc = worst_cas = worst_rot = 0.0
+    worst_cyc = worst_cas = worst_rot = worst_turn = 0.0
     for n in range(lo, hi + 1):
         t = spin_operators(n, alpha)
-        pairs = (
-            (t.lx, t.ly, t.lz),
-            (t.ly, t.lz, t.lx),
-            (t.lz, t.lx, t.ly),
-        )
-        for a, b, c in pairs:
-            worst_cyc = max(
-                worst_cyc, max_norm(commutator(a, b) - 1j * alpha * c.matrix)
-            )
+        for a, b, c in ((t.lx, t.ly, t.lz), (t.ly, t.lz, t.lx), (t.lz, t.lx, t.ly)):
+            worst_cyc = max(worst_cyc, max_norm(commutator(a, b) - 1j * alpha * c.matrix))
         cas = casimir_matrix(t) - alpha**2 * t.j * (t.j + 1) * np.eye(n)
         worst_cas = max(worst_cas, max_norm(cas))
         rz = rotation_generator("z", t)
@@ -323,6 +316,8 @@ def _suite_angular(seed: int, alpha: float, levels: int, dims) -> list[dict]:
             max_norm(commutator(rz, t.ly) + 1j * t.lx.matrix),
             max_norm(commutator(rz, t.lz)),
         )
+        sign = 1.0 if (n % 2) == 1 else -1.0
+        worst_turn = max(worst_turn, max_norm(full_turn_matrix(t) - sign * np.eye(n)))
     checks.append(_check("cyclic_commutators", worst_cyc, 1e-10 * max(1.0, alpha**2)))
     checks.append(_check("casimir_scalar", worst_cas, 1e-10 * max(1.0, alpha**2)))
     checks.append(_check("rotation_generator_commutators", worst_rot, 1e-10 * max(1.0, alpha)))
@@ -348,11 +343,6 @@ def _suite_angular(seed: int, alpha: float, levels: int, dims) -> list[dict]:
         worst_comm = max(worst_comm, resid if null_dim == 1 else math.inf)
     checks.append(_check("commutant_is_scalar", worst_comm, 1e-8))
 
-    worst_turn = 0.0
-    for n in range(lo, hi + 1):
-        t = spin_operators(n, alpha)
-        sign = 1.0 if (n % 2) == 1 else -1.0
-        worst_turn = max(worst_turn, max_norm(full_turn_matrix(t) - sign * np.eye(n)))
     checks.append(_check("full_turn_sign", worst_turn, 1e-10))
     return checks
 
@@ -361,12 +351,13 @@ def _suite_angular(seed: int, alpha: float, levels: int, dims) -> list[dict]:
 # poisson
 # ---------------------------------------------------------------------------
 
-def _random_poly(rng, n_pairs=1, max_terms=4, max_deg=3) -> CanonicalPolynomial:
+def _random_poly(rng) -> CanonicalPolynomial:
+    """One to four terms over two canonical pairs, exponents at most 3, integer coefficients in [-5, 5]."""
     terms = {}
-    for _ in range(int(rng.integers(1, max_terms + 1))):
-        exps = tuple(int(rng.integers(0, max_deg + 1)) for _ in range(2 * n_pairs))
+    for _ in range(int(rng.integers(1, 5))):
+        exps = tuple(int(rng.integers(0, 4)) for _ in range(4))
         terms[exps] = int(rng.integers(-5, 6))
-    return CanonicalPolynomial.from_terms(terms, n_pairs)
+    return CanonicalPolynomial.from_terms(terms, 2)
 
 
 def _suite_poisson(seed: int, alpha: float, levels: int, dims) -> list[dict]:
@@ -375,9 +366,7 @@ def _suite_poisson(seed: int, alpha: float, levels: int, dims) -> list[dict]:
 
     exact_failures = 0
     for _ in range(40):
-        f = _random_poly(rng, n_pairs=2)
-        g = _random_poly(rng, n_pairs=2)
-        h = _random_poly(rng, n_pairs=2)
+        f, g, h = _random_poly(rng), _random_poly(rng), _random_poly(rng)
         if not (poisson_bracket(f, g) + poisson_bracket(g, f)).is_zero():
             exact_failures += 1
         if not (poisson_bracket(f * g, h) - f * poisson_bracket(g, h) - poisson_bracket(f, h) * g).is_zero():
@@ -441,10 +430,9 @@ def run_suite(
     extra_bindings: dict | None = None,
 ) -> dict:
     """Run one suite (or `all`) and return a JSON-ready report."""
+    if suite != "all" and suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r}; options: all, {', '.join(SUITE_NAMES)}")
     names = list(SUITE_NAMES) if suite == "all" else [suite]
-    for name in names:
-        if name not in _SUITES:
-            raise ValueError(f"unknown suite {name!r}; options: all, {', '.join(SUITE_NAMES)}")
     checks: list[dict] = []
     for name in names:
         try:

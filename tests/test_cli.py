@@ -424,6 +424,15 @@ def test_module_verify_is_an_alias_of_verify_suite(suite, flags, capsys):
     assert main([suite, "frobnicate"]) == 1
 
 
+@pytest.mark.parametrize("args", [("kinematics", "frobnicate"), ("angular", "frobnicate"), ("poisson", "bogus")])
+def test_an_unknown_action_prints_usage_and_exits_one(args):
+    rc, out, err = _run_cli(*args)
+    assert rc == 1
+    assert out == ""
+    assert "invalid choice" in err and "usage: avcp" in err
+    assert "Traceback" not in err
+
+
 def test_poisson_check_command(capsys):
     rc = main(["poisson", "check", "--f", "x", "--h", "p^2 + x^2", "--levels", "32"])
     out = json.loads(capsys.readouterr().out)

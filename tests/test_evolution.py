@@ -16,10 +16,12 @@ from avcp.evolution import (
     check_ehrenfest,
     check_energy_conservation,
     evolve,
+    evolved_expectation,
     propagate,
     propagator,
 )
 from avcp.kinematics import (
+    _require_safe,
     build_fock,
     coherent_state,
     displacement_shift_residual,
@@ -29,6 +31,7 @@ from avcp.kinematics import (
 from avcp.operators import (
     HermitianOperator,
     QuantumState,
+    commutator,
     eigh_stack,
     expectation,
     hermitian_from_matrix,
@@ -455,7 +458,7 @@ def test_schedules_reject_a_span_that_is_not_finite_or_is_reversed(t0, t1):
     h = random_hermitian(2, make_rng(74))
     with pytest.raises(ScheduleGap, match="must be finite and not reversed"):
         HamiltonianSchedule.from_function(fn, t0, t1)
-    with pytest.raises(ScheduleGap):
+    with pytest.raises(ScheduleGap, match="must be finite and not reversed"):
         HamiltonianSchedule.piecewise([(t0, t1, h)])
 
 
@@ -528,3 +531,75 @@ def test_rate_residual_linear_in_dt():
     res = [check_ehrenfest(f, h, v, dt) for dt in (1e-2, 1e-3, 1e-4)]
     assert 5 <= res[0] / res[1] <= 20
     assert 5 <= res[1] / res[2] <= 20
+
+
+# --- the shared <F>-after-evolution probe against the hand-written checks it replaced ------------------
+# Each reference below is the check's earlier body, verbatim: before and after computed by hand,
+# without `evolved_expectation`. The library must give the same float, bit for bit.
+
+
+def _reference_energy_conservation(v, h, dt, alpha=1.0):
+    before = expectation(h, v)
+    after_amps = propagate(h, dt, v.amplitudes, alpha)
+    after = expectation(h, QuantumState.normalized(after_amps, v.factor_dims))
+    return abs(after - before)
+
+
+def _reference_ehrenfest(f, h, v, dt, alpha=1.0):
+    now = expectation(f, v)
+    later_amps = propagate(h, dt, v.amplitudes, alpha)
+    later = expectation(f, QuantumState.normalized(later_amps, v.factor_dims))
+    drift = (later - now) / dt
+    rate = (1j / alpha) * complex(
+        v.amplitudes.conj() @ (commutator(h, f) @ v.amplitudes)
+    )
+    return abs(drift - rate.real) + abs(rate.imag)
+
+
+def _reference_displacement_shift(f, v, eps):
+    _require_safe(v)
+    before = expectation(f.x_op, v)
+    shifted = QuantumState.normalized(propagate(f.p_op, eps, v.amplitudes, f.alpha))
+    after = expectation(f.x_op, shifted)
+    return abs(after - (before + eps))
+
+
+def _reference_momentum_invariance(f, v, eps):
+    before = expectation(f.p_op, v)
+    shifted = QuantumState.normalized(propagate(f.p_op, eps, v.amplitudes, f.alpha))
+    return abs(expectation(f.p_op, shifted) - before)
+
+
+def _reference_photon_drift(f, c, state, dt):
+    _require_safe(state)
+    h = HermitianOperator(c * f.p_op.matrix)
+    before = expectation(f.x_op, state)
+    after_amps = propagate(h, dt, state.amplitudes, f.alpha)
+    after = expectation(f.x_op, QuantumState.normalized(after_amps))
+    return abs((after - before) / dt - c)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+@pytest.mark.parametrize("factor_dims", [None, (2, 3), (3, 2, 2)])
+def test_evolution_checks_equal_their_hand_written_reference(alpha, factor_dims):
+    dim = 6 if factor_dims is None else math.prod(factor_dims)
+    rng = make_rng(80 + len(factor_dims or ()))
+    for dt in (1e-4, 0.37, 2.5):
+        h, f = random_hermitian(dim, rng), random_hermitian(dim, rng)
+        v = random_state(dim, rng, factor_dims)
+        assert check_energy_conservation(v, h, dt, alpha) == _reference_energy_conservation(v, h, dt, alpha)
+        assert check_ehrenfest(f, h, v, dt, alpha) == _reference_ehrenfest(f, h, v, dt, alpha)
+        assert evolved_expectation(f, h, v, 0.0, alpha) == pytest.approx(expectation(f, v), abs=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+def test_kinematics_checks_equal_their_hand_written_reference(alpha):
+    fock = build_fock(40, alpha)
+    for beta in (0.0, 1.1 + 0.3j, -0.6 + 0.9j):
+        v = coherent_state(fock, beta)
+        for eps in (1e-3, 0.1, 0.45):
+            assert displacement_shift_residual(fock, v, eps) == _reference_displacement_shift(fock, v, eps)
+            assert momentum_invariance_residual(fock, v, eps) == _reference_momentum_invariance(fock, v, eps)
+        for c in (0.0, 0.7, 1.0):
+            for dt in (1e-4, 1e-3):
+                assert photon_drift_check(fock, c, v, dt) == _reference_photon_drift(fock, c, v, dt)
