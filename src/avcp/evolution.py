@@ -168,6 +168,7 @@ def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumSt
     amps = np.array(v.amplitudes, dtype=complex)
     dt = span / steps
     block = max(1, min(_BLOCK_SLICES, _BLOCK_ENTRIES // v.dim**2))
+    last = None  # a piece's eigenvectors, conjugated once for every run of slices inside the piece
     for start in range(0, steps, block):
         mids = [sched.t_start + (k + 0.5) * dt for k in range(start, min(start + block, steps))]
         if sched.fn is None:  # a piece's spectrum is diagonalised once and cached on its operator
@@ -182,7 +183,9 @@ def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumSt
             hermitian_gate(mats)
             values, vectors, _, _ = eigh_stack(mats)
         for phases, vecs in zip(np.exp(-1j * values * (dt / sched.alpha)), vectors):
-            amps = vecs @ (phases * (vecs.conj().T @ amps))
+            if vecs is not last:
+                last, vecs_h = vecs, vecs.conj().T
+            amps = vecs @ (phases * (vecs_h @ amps))
             norm = float(np.linalg.norm(amps))
             if abs(norm - 1.0) > _NORM_DRIFT_TOL:
                 raise DimMismatch(f"norm drifted by {abs(norm - 1.0):.3e} in one slice")

@@ -348,14 +348,17 @@ def _sample_copy(spectra, state: np.ndarray, columns) -> list[np.ndarray]:
     Each trial walks the copy's outcome tree, carrying the index of its node;
     measurement j takes the next uniform column from `columns`.  Only
     children some trial reached are built, so nodes never outnumber trials.
+    Per slot: O(nodes*(d^2 + G) + n) expected time and O(n + nodes*(d + G)) memory.
     """
     nodes, at, out = state[None, :], 0, []
     for j, (spectrum, u) in enumerate(zip(spectra, columns)):
         weights, children = born_split(spectrum, nodes)
         idx = inverse_cdf(weights, at, u)
         out.append(spectrum.group_values[idx])
-        if j + 1 < len(spectra):
-            reached, at = np.unique(at * weights.shape[1] + idx, return_inverse=True)
+        if j + 1 < len(spectra):  # np.unique(branch, return_inverse=True), by counting instead of sorting
+            branch = at * weights.shape[1] + idx
+            seen = np.bincount(branch, minlength=weights.size) > 0
+            reached, at = np.flatnonzero(seen), (np.cumsum(seen) - 1)[branch]
             nodes = children(*np.divmod(reached, weights.shape[1]))
     return out
 
@@ -368,8 +371,8 @@ def run_trials(spec: ExperimentSpec, n: int, seed: int, keep_trials: bool = Fals
     outcome of a trial is a function of (seed, trial index) alone and the
     report does not depend on execution order.  The exact values come first,
     so a non-simple `f` or too many outcome tuples fail before any trial.
-    Sampling each copy's outcome tree costs O(nodes*d^2 + n*G) time per slot
-    and O(min(n, branches)*d) memory.
+    Sampling each copy's outcome tree costs O(nodes*(d^2 + G) + n) expected
+    time and O(n + nodes*(d + G)) memory per slot, with nodes <= min(n, branches).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
