@@ -145,7 +145,7 @@ def _dispatch(args, alpha: float) -> int:
     if args.command == "quantize":
         bindings = BindingSet.from_dict(_load_json(args.bindings))
         op = ex.quantize(ex.parse(args.expression), bindings)
-        _emit(operator_to_dict(op), args.format, args.out, text_renderer=_operator_text)
+        _emit(operator_to_dict(op), args.format, args.out, text_renderer=lambda d: _operator_text(op.matrix))
         return 0
 
     if args.command == "experiment":
@@ -207,17 +207,8 @@ def _dispatch(args, alpha: float) -> int:
     raise ValueError(f"unknown command {args.command!r}")
 
 
-def _operator_text(d: dict) -> str:
-    n = d["dim"]
-    rows = []
-    for i in range(n):
-        cells = []
-        for j in range(n):
-            re = d["re"][i * n + j]
-            im = d["im"][i * n + j]
-            cells.append(f"{re:+.6f}{im:+.6f}j")
-        rows.append("  ".join(cells))
-    return "\n".join(rows)
+def _operator_text(m) -> str:
+    return "\n".join("  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row) for row in m)
 
 
 def entry() -> None:

@@ -23,8 +23,8 @@ from .operators import (
     expectation,
     hermitian_from_matrix,
     hermitian_gate,
-    matrix_from_dict,
-    matrix_to_dict,
+    operator_from_dict,
+    operator_to_dict,
 )
 
 _CONTIGUITY_RTOL = 1e-12
@@ -120,10 +120,7 @@ class HamiltonianSchedule:
         if isinstance(d, dict):
             alpha = float(d.get("alpha", 1.0))
             pieces = d["pieces"]
-        items = [
-            (float(p["t0"]), float(p["t1"]), hermitian_from_matrix(matrix_from_dict(p["operator"])))
-            for p in pieces
-        ]
+        items = [(float(p["t0"]), float(p["t1"]), operator_from_dict(p["operator"])) for p in pieces]
         return cls.piecewise(items, alpha)
 
     def to_dict(self) -> dict:
@@ -131,10 +128,7 @@ class HamiltonianSchedule:
             raise ValueError("only piecewise schedules serialize to JSON")
         return {
             "alpha": self.alpha,
-            "pieces": [
-                {"t0": a, "t1": b, "operator": matrix_to_dict(h.matrix)}
-                for a, b, h in self.pieces
-            ],
+            "pieces": [{"t0": a, "t1": b, "operator": operator_to_dict(h)} for a, b, h in self.pieces],
         }
 
 

@@ -16,13 +16,13 @@ enumerated value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
 from . import expressions as ex
-from .errors import StateSpaceTooLarge, UnboundVariable
+from .errors import DimMismatch, StateSpaceTooLarge, UnboundVariable
 from .evolution import HamiltonianSchedule, evolve
 from .expressions import BindingSet
 from .operators import QuantumState, born_split, expectation, inverse_cdf, state_from_dict, state_to_dict
@@ -128,9 +128,7 @@ class ExperimentSpec:
         self.evolution = evolution
         self._evolved: dict[float, QuantumState] = {}
         if initial_state.dim != bindings.dim:
-            raise UnboundVariable(
-                f"state dim {initial_state.dim} does not match bindings dim {bindings.dim}"
-            )
+            raise DimMismatch(f"state dim {initial_state.dim} does not match bindings dim {bindings.dim}")
         for name in self.implementation:
             bindings.binding(name)
         if target is not None:
@@ -307,23 +305,9 @@ class ExperimentReport:
         return "holds" if self.holds else "violated"
 
     def to_dict(self) -> dict:
-        return {
-            "n_trials": self.n_trials,
-            "seed": self.seed,
-            "plan": [list(g) for g in self.plan],
-            "sampled_lhs": self.sampled_lhs,
-            "stderr_lhs": self.stderr_lhs,
-            "sampled_rhs": self.sampled_rhs,
-            "stderr_rhs": self.stderr_rhs,
-            "exact_lhs": self.exact_lhs,
-            "exact_rhs": self.exact_rhs,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "z_lhs": self.z_lhs,
-            "z_rhs": self.z_rhs,
-            "z_gap": self.z_gap,
-        }
+        """The summary fields in order, `verdict` in place of `holds` and `plan` as lists; no trial arrays."""
+        names = ["verdict" if f.name == "holds" else f.name for f in fields(self) if f.repr]
+        return {**{k: getattr(self, k) for k in names}, "plan": [list(g) for g in self.plan]}
 
     def to_text(self) -> str:
         rows = [

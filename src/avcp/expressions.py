@@ -43,9 +43,9 @@ from .operators import (
     commutator,
     embed_operator,
     hermitian_from_matrix,
-    matrix_from_dict,
-    matrix_to_dict,
     max_norm,
+    operator_from_dict,
+    operator_to_dict,
 )
 
 
@@ -550,7 +550,7 @@ class BindingSet:
             factor_dims = d.get("factor_dims")
         items = []
         for name, value in entries.items():
-            op = hermitian_from_matrix(matrix_from_dict(value if "re" in value else value["operator"]))
+            op = operator_from_dict(value if "re" in value else value["operator"])
             sub = None if "re" in value else value.get("subsystem")
             items.append(MeasurementBinding(name, op, None if sub is None else int(sub)))
         return cls(items, factor_dims)
@@ -558,13 +558,8 @@ class BindingSet:
     def to_dict(self) -> dict:
         entries = {}
         for name, b in self._bindings.items():
-            if b.subsystem is None:
-                entries[name] = matrix_to_dict(b.operator.matrix)
-            else:
-                entries[name] = {
-                    "operator": matrix_to_dict(b.operator.matrix),
-                    "subsystem": b.subsystem,
-                }
+            op = operator_to_dict(b.operator)
+            entries[name] = op if b.subsystem is None else {"operator": op, "subsystem": b.subsystem}
         if self.factor_dims is None:
             return entries
         return {"bindings": entries, "factor_dims": list(self.factor_dims)}

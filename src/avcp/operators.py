@@ -395,7 +395,8 @@ def inverse_cdf(weights: np.ndarray, rows: np.ndarray | int, u: np.ndarray) -> n
     its sums at or below each cell edge b/k of [0, 1), k >= 2G, and a draw steps on from its cell's
     count only past the sums inside its cell, (G - 1)/k < 1/2 steps per draw on average.  O(n + nodes*G)
     expected time and memory for n draws and (nodes, G) weights; no n x G table is ever built.
-    Raises ValueError, before any table is built, for a draw outside [0, 1).
+    Raises ValueError, before any table is built, for a draw outside [0, 1) and for a weight row
+    with a negative weight or without a finite positive sum.
     """
     n_rows, n_groups = weights.shape
     k = 1 << (2 * n_groups - 1).bit_length()  # a power of two, so u*k and every cell edge b/k are exact
@@ -403,15 +404,18 @@ def inverse_cdf(weights: np.ndarray, rows: np.ndarray | int, u: np.ndarray) -> n
     if not (uk.min(initial=0.0) >= 0 and uk.max(initial=0.0) < k):  # a nan fails both
         raise ValueError(f"uniform draw {float(u[~((u >= 0) & (u < 1))][0])!r} is outside [0, 1)")
     cum = np.cumsum(weights, axis=1)
+    ok = (weights >= 0).all(axis=1) & (cum[:, -1] > 0) & (cum[:, -1] < np.inf)  # a nan fails all three
+    if not ok.all():
+        r = int(np.argmin(ok))
+        raise ValueError(f"weight row {r} has a negative weight or no finite positive sum ({float(cum[r, -1])!r})")
     cum = cum[:, :-1] / cum[:, -1:]
-    # sum j <= b/k exactly when ceil(k * sum j) <= b; a nan sum (a row without a finite positive total) is
-    # never <= u, so its key k + 1 is past every cell
-    keys = np.fmin(np.ceil(cum * k), k + 1).astype(np.intp) + (k + 2) * np.arange(n_rows)[:, None]
-    # guide[r*(k + 2) + b] = r*(G - 1) + (how many sums of row r are <= b/k): a flat index into cum
-    guide = np.bincount(keys.ravel(), minlength=n_rows * (k + 2))
+    # sum j <= b/k exactly when ceil(k * sum j) <= b, a key in [0, k]
+    keys = np.ceil(cum * k).astype(np.intp) + (k + 1) * np.arange(n_rows)[:, None]
+    # guide[r*(k + 1) + b] = r*(G - 1) + (how many sums of row r are <= b/k): a flat index into cum
+    guide = np.bincount(keys.ravel(), minlength=n_rows * (k + 1))
     np.cumsum(guide, out=guide)
     rows = np.asarray(rows, dtype=np.intp)
-    at = uk.astype(np.intp) + (k + 2) * rows
+    at = uk.astype(np.intp) + (k + 1) * rows
     pos, end = guide[at], guide[at + 1]
     cum = cum.ravel()
     t = np.flatnonzero(pos < end)  # the draws whose cell holds a sum
@@ -447,20 +451,23 @@ def measure_projective(v: QuantumState, h: HermitianOperator, rng: np.random.Gen
 # JSON serialization: {"dim": n, "re": [...], "im": [...]} flattened row-major
 # ---------------------------------------------------------------------------
 
+def _array_to_dict(arr: np.ndarray) -> dict:
+    return {"dim": arr.shape[0], "re": arr.real.reshape(-1).tolist(), "im": arr.imag.reshape(-1).tolist()}
+
+
+def _array_from_dict(d: dict, ndim: int) -> np.ndarray:
+    """The complex array of `d`: a state for ndim 1, a matrix for ndim 2; a missing "im" reads as zeros."""
+    shape = (int(d["dim"]),) * ndim
+    re = np.asarray(d["re"], dtype=float).reshape(shape)
+    return re + 1j * np.asarray(d.get("im", np.zeros(shape)), dtype=float).reshape(shape)
+
+
 def matrix_to_dict(m) -> dict:
-    arr = as_complex_matrix(m)
-    return {
-        "dim": arr.shape[0],
-        "re": arr.real.reshape(-1).tolist(),
-        "im": arr.imag.reshape(-1).tolist(),
-    }
+    return _array_to_dict(as_complex_matrix(m))
 
 
 def matrix_from_dict(d: dict) -> np.ndarray:
-    n = int(d["dim"])
-    re = np.asarray(d["re"], dtype=float).reshape(n, n)
-    im = np.asarray(d.get("im", np.zeros(n * n)), dtype=float).reshape(n, n)
-    return re + 1j * im
+    return _array_from_dict(d, 2)
 
 
 def operator_to_dict(h: HermitianOperator) -> dict:
@@ -472,21 +479,14 @@ def operator_from_dict(d: dict) -> HermitianOperator:
 
 
 def state_to_dict(v: QuantumState) -> dict:
-    out = {
-        "dim": v.dim,
-        "re": v.amplitudes.real.tolist(),
-        "im": v.amplitudes.imag.tolist(),
-    }
+    out = _array_to_dict(v.amplitudes)
     if v.factor_dims != (v.dim,):
         out["factor_dims"] = list(v.factor_dims)
     return out
 
 
 def state_from_dict(d: dict) -> QuantumState:
-    n = int(d["dim"])
-    re = np.asarray(d["re"], dtype=float).reshape(n)
-    im = np.asarray(d.get("im", np.zeros(n)), dtype=float).reshape(n)
-    return QuantumState(re + 1j * im, d.get("factor_dims"))
+    return QuantumState(_array_from_dict(d, 1), d.get("factor_dims"))
 
 
 def operator_to_json(h: HermitianOperator) -> str:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from avcp import expressions as ex
 from avcp.cli import entry, main
 from avcp.evolution import HamiltonianSchedule
 from avcp.experiments import ExperimentSpec
@@ -94,6 +95,16 @@ def test_quantize_text_format(pauli_bindings_file, capsys):
     assert "+1.000000" in out
 
 
+def test_quantize_text_renders_signed_zeros_and_imaginary_parts(pauli_bindings_file, capsys, monkeypatch):
+    m = np.array([[complex(-0.0, 0.0), 0.5 - 0.75j], [0.5 + 0.75j, complex(-1e-17, -0.0)]])
+    monkeypatch.setattr(ex, "quantize", lambda expr, bindings: HermitianOperator(m))
+    rc = main(["quantize", "A", "--bindings", pauli_bindings_file, "--format", "text"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "-0.000000+0.000000j  +0.500000-0.750000j\n+0.500000+0.750000j  -0.000000-0.000000j\n"
+    )
+
+
 # --- experiment -------------------------------------------------------------------
 
 
@@ -116,6 +127,22 @@ def test_experiment_from_spec_file(tmp_path, capsys):
     assert out["seed"] == 11
     assert out["verdict"] == "holds"
     assert abs(out["exact_lhs"] - out["exact_rhs"]) <= out["tolerance"]
+
+
+def test_experiment_state_dim_mismatch_exits_one_with_dim_mismatch(tmp_path, capsys):
+    spec = {
+        "state": {"dim": 3, "re": [1.0, 0.0, 0.0]},
+        "bindings": {"A": matrix_to_dict(SX), "B": matrix_to_dict(SY)},
+        "implementation": ["A"],
+        "f": "A",
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    rc = main(["experiment", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: DimMismatch: state dim 3 does not match bindings dim 2\n"
 
 
 # --- verify ------------------------------------------------------------------------
@@ -218,6 +245,7 @@ def test_demo_script_exits_zero(script):
     env["PYTHONPATH"] = os.pathsep.join([str(DEMO_DIR.parent / "src")] + sys.path)
     proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
 
 
 def test_unknown_demo_exits_one(capsys):

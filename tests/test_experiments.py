@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from avcp import experiments
-from avcp.errors import NonSimpleExpression, StateSpaceTooLarge, UnboundVariable
+from avcp.errors import DimMismatch, NonSimpleExpression, StateSpaceTooLarge, UnboundVariable
 from avcp.evolution import HamiltonianSchedule
 from avcp.experiments import (
     EvolutionWindow,
@@ -389,6 +389,40 @@ def test_target_cannot_be_an_implementation_measurement():
     bind = BindingSet({"A": sx, "B": sy})
     with pytest.raises(ValueError):
         ExperimentSpec(random_state(2, make_rng(25)), bind, ["A", "B"], "A + B", target="A")
+
+
+def test_state_dim_must_match_bindings_dim():
+    sx, sy, _ = _pauli()
+    with pytest.raises(DimMismatch, match="state dim 3 does not match bindings dim 2"):
+        ExperimentSpec(QuantumState([1, 0, 0]), BindingSet({"A": sx, "B": sy}), ["A"], "A", target="B")
+
+
+def test_report_dict_has_the_summary_keys_in_order_and_no_trial_arrays():
+    sx, sy, _ = _pauli()
+    spec = ExperimentSpec(random_state(2, make_rng(30)), BindingSet({"A": sx, "B": sy}), ["A", "B"], "A + B")
+    report = run_trials(spec, 200, seed=4, keep_trials=True)
+    d = report.to_dict()
+    assert list(d) == [
+        "n_trials",
+        "seed",
+        "plan",
+        "sampled_lhs",
+        "stderr_lhs",
+        "sampled_rhs",
+        "stderr_rhs",
+        "exact_lhs",
+        "exact_rhs",
+        "residual",
+        "tolerance",
+        "verdict",
+        "z_lhs",
+        "z_rhs",
+        "z_gap",
+    ]
+    assert d["plan"] == [["A"], ["B"]]
+    assert d["verdict"] == "holds"
+    assert (d["n_trials"], d["seed"], d["exact_lhs"], d["z_gap"]) == (200, 4, report.exact_lhs, report.z_gap)
+    assert report.trial_f is not None
 
 
 def test_f_variables_must_be_implementation_names():

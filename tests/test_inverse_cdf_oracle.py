@@ -7,7 +7,7 @@ guide row of k >= 2G cells per weight row), so these tests require `==`
 indices on hypothesis-drawn weights and draws, including the draws where an
 off-by-one would show: u = 0, the largest draw 1 - 2**-53, draws equal to a
 cumulative sum or next to one, and draws on the guide's cell edges b/k.  They
-also pin the domain check and the memory bound at n = 1e5 and G = 256.
+also pin the domain checks and the memory bound at n = 1e5 and G = 256.
 """
 
 from __future__ import annotations
@@ -87,6 +87,22 @@ def test_a_draw_outside_the_unit_interval_is_rejected_by_value(bad):
     u = np.array([0.5, bad, 0.25])
     with pytest.raises(ValueError, match=repr(bad)):
         inverse_cdf(weights, 0, u)
+
+
+@pytest.mark.parametrize(
+    "row, sum_",
+    [
+        ([0.0, 0.0, 0.0], "0.0"),
+        ([0.2, float("nan"), 0.3], "nan"),
+        pytest.param([1e308, 1e308, 0.0], "inf", marks=pytest.mark.filterwarnings("ignore:overflow encountered")),
+        ([-0.5, 1.0, 0.5], "1.0"),
+    ],
+)
+def test_a_weight_row_with_a_negative_weight_or_no_finite_positive_sum_is_rejected(row, sum_):
+    # row 0 is fine and is the only row drawn from; the bad row 1 still fails, since it would corrupt the guide
+    weights = np.array([[0.5, 0.5, 0.0], row])
+    with pytest.raises(ValueError, match=rf"weight row 1 has a negative weight or no finite positive sum \({sum_}\)"):
+        inverse_cdf(weights, 0, np.array([0.7]))
 
 
 def test_negative_zero_is_a_valid_draw():

@@ -22,6 +22,8 @@ from avcp.operators import (
     hermitian_from_matrix,
     inverse_cdf,
     make_rng,
+    matrix_from_dict,
+    matrix_to_dict,
     max_norm,
     measure_projective,
     operator_from_json,
@@ -29,7 +31,9 @@ from avcp.operators import (
     outcome_probabilities,
     random_hermitian,
     random_state,
+    state_from_dict,
     state_from_json,
+    state_to_dict,
     state_to_json,
     tensor,
 )
@@ -407,3 +411,23 @@ def test_state_json_round_trip():
     assert np.array_equal(other.amplitudes, v.amplitudes)
     assert other.factor_dims == (2, 3)
     assert json.loads(state_to_json(v))["factor_dims"] == [2, 3]
+    # `evolve --format text` prints the dict as it is, so its key order is output
+    assert list(state_to_dict(v)) == ["dim", "re", "im", "factor_dims"]
+    assert list(state_to_dict(QuantumState([1, 0]))) == ["dim", "re", "im"]
+    again = state_from_dict(state_to_dict(v))
+    assert np.array_equal(again.amplitudes, v.amplitudes) and again.factor_dims == (2, 3)
+
+
+def test_matrix_dict_without_im_is_real():
+    m = matrix_from_dict({"dim": 2, "re": [1.0, -0.5, -0.5, 2.0]})
+    assert m.dtype == complex
+    assert np.array_equal(m, np.array([[1.0, -0.5], [-0.5, 2.0]], dtype=complex))
+    assert matrix_to_dict(m) == {"dim": 2, "re": [1.0, -0.5, -0.5, 2.0], "im": [0.0, 0.0, 0.0, 0.0]}
+    assert state_from_dict({"dim": 2, "re": [0.6, 0.8]}).amplitudes.tolist() == [0.6 + 0j, 0.8 + 0j]
+
+
+def test_a_bad_re_is_reported_before_a_bad_im():
+    with pytest.raises(ValueError, match="size 3 into shape"):
+        matrix_from_dict({"dim": 2, "re": [1.0, 0.0, 0.0], "im": [0.0]})
+    with pytest.raises(ValueError, match="size 3 into shape"):
+        state_from_dict({"dim": 2, "re": [1.0, 0.0, 0.0], "im": [0.0]})
