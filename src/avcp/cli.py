@@ -11,6 +11,7 @@ constant; an explicit --alpha flag wins over both, and a schedule file's own
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -71,6 +72,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=None)
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it found it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="avcp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -8,6 +8,7 @@ midpoints (second-order accurate in the slice width).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -160,27 +161,39 @@ def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumSt
     if sched.fn is None and sched.dim != v.dim:
         raise DimMismatch(f"schedule dim {sched.dim} vs state dim {v.dim}")
     amps = np.array(v.amplitudes, dtype=complex)
+    buf, re, im = np.empty_like(amps), amps.real, amps.imag
     dt = span / steps
     block = max(1, min(_BLOCK_SLICES, _BLOCK_ENTRIES // v.dim**2))
-    last = None  # a piece's eigenvectors, conjugated once for every run of slices inside the piece
+    last = None  # (eigenvectors, their conjugate transpose) of the piece in force at the last slice
     for start in range(0, steps, block):
         mids = [sched.t_start + (k + 0.5) * dt for k in range(start, min(start + block, steps))]
         if sched.fn is None:  # a piece's spectrum is diagonalised once and cached on its operator
             spectra = [sched.at(t).spectrum for t in mids]
             values, vectors = np.array([s.eigenvalues for s in spectra]), [s.eigenvectors for s in spectra]
+            vectors_h = []
+            for vecs in vectors:  # conjugated once for every run of slices inside a piece
+                if last is None or last[0] is not vecs:
+                    last = vecs, vecs.conj().T
+                vectors_h.append(last[1])
         else:  # one validated stack: the block's dims first, then each slice in order as HermitianOperator would
             mats = [h.matrix if isinstance(h, HermitianOperator) else h for h in map(sched.fn, mids)]
-            for m in mats:
-                if np.shape(m) != (v.dim, v.dim):
-                    raise DimMismatch(f"schedule dim {as_complex_matrix(m).shape[0]} vs state dim {v.dim}")
-            mats = np.array(mats, dtype=complex)  # rebinding drops fn's results before the next block is sampled
+            try:
+                stack = np.array(mats, dtype=complex)
+            except (ValueError, TypeError):
+                stack = None
+            if stack is None or stack.shape != (len(mats), v.dim, v.dim):  # name the first slice at fault
+                for m in mats:
+                    if np.shape(m) != (v.dim, v.dim):
+                        raise DimMismatch(f"schedule dim {as_complex_matrix(m).shape[0]} vs state dim {v.dim}")
+                stack = np.array(mats, dtype=complex)
+            mats = stack  # rebinding drops fn's results before the next block is sampled
             hermitian_gate(mats)
             values, vectors, _, _ = eigh_stack(mats)
-        for phases, vecs in zip(np.exp(-1j * values * (dt / sched.alpha)), vectors):
-            if vecs is not last:
-                last, vecs_h = vecs, vecs.conj().T
-            amps = vecs @ (phases * (vecs_h @ amps))
-            norm = float(np.linalg.norm(amps))
+            vectors_h = vectors.conj().swapaxes(1, 2)
+        for phases, vecs, vecs_h in zip(np.exp(-1j * values * (dt / sched.alpha)), vectors, vectors_h):
+            np.multiply(phases, np.matmul(vecs_h, amps, out=buf), out=buf)
+            np.matmul(vecs, buf, out=amps)
+            norm = math.sqrt(re.dot(re) + im.dot(im))  # what np.linalg.norm computes for a complex vector
             if abs(norm - 1.0) > _NORM_DRIFT_TOL:
                 raise DimMismatch(f"norm drifted by {abs(norm - 1.0):.3e} in one slice")
             amps /= norm

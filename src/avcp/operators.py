@@ -403,7 +403,8 @@ def inverse_cdf(weights: np.ndarray, rows: np.ndarray | int, u: np.ndarray) -> n
     uk = u * k
     if not (uk.min(initial=0.0) >= 0 and uk.max(initial=0.0) < k):  # a nan fails both
         raise ValueError(f"uniform draw {float(u[~((u >= 0) & (u < 1))][0])!r} is outside [0, 1)")
-    cum = np.cumsum(weights, axis=1)
+    with np.errstate(over="ignore"):  # an overflowing sum is reported just below, as a ValueError
+        cum = np.cumsum(weights, axis=1)
     ok = (weights >= 0).all(axis=1) & (cum[:, -1] > 0) & (cum[:, -1] < np.inf)  # a nan fails all three
     if not ok.all():
         r = int(np.argmin(ok))

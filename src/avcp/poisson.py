@@ -13,8 +13,11 @@ x^3 / p^3 pair shows what goes wrong when the bracket is not simple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import add
 from typing import Mapping
 
 import numpy as np
@@ -28,27 +31,38 @@ from .operators import commutator, max_norm
 _Exponents = tuple  # (x1..xN, p1..pN) exponent tuple
 
 
-def _coerce(c) -> Fraction:
-    # Fraction(float) is exact for the binary value, so nothing is lost here
-    return c if isinstance(c, Fraction) else Fraction(c)
+def _collect(pairs, den: int, n_pairs: int) -> "CanonicalPolynomial":
+    """Merge (exponent tuple, integer numerator over `den`) pairs in `expressions.collect_terms`,
+    sort them and bring the result to lowest terms with one gcd."""
+    merged = ex.collect_terms(pairs)
+    g = math.gcd(den, *merged.values())
+    if g > 1:
+        den, merged = den // g, {e: c // g for e, c in merged.items()}
+    return CanonicalPolynomial(n_pairs, tuple(sorted(merged.items())), den)
 
 
-def _collect(pairs, n_pairs: int) -> "CanonicalPolynomial":
-    """Merge (exponent tuple, Fraction) pairs in `expressions.collect_terms` and sort them."""
-    return CanonicalPolynomial(n_pairs, tuple(sorted(ex.collect_terms(pairs).items())))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class CanonicalPolynomial:
-    """Polynomial over canonical coordinates with exact coefficients.
+    """Polynomial over canonical coordinates with exact coefficients: integer `numerators` over one
+    positive `denominator` in lowest terms, a unique form; `terms` builds their Fractions when read.
 
-    The raw constructor is trusted with sorted, merged, non-zero Fraction terms;
-    outside data enters through `from_terms`, `parse_canonical`, `coordinate`
-    and `constant`, which validate it.
+    The raw constructor is trusted with that form, sorted, merged and non-zero; outside data enters
+    through `from_terms`, `parse_canonical`, `coordinate` and `constant`, which validate it.
     """
 
     n_pairs: int
-    terms: tuple[tuple[_Exponents, Fraction], ...]
+    numerators: tuple[tuple[_Exponents, int], ...]
+    denominator: int = 1
+
+    @cached_property
+    def terms(self) -> tuple[tuple[_Exponents, Fraction], ...]:
+        return tuple((e, Fraction(c, self.denominator)) for e, c in self.numerators)
+
+    def __hash__(self):  # of (n_pairs, terms), so it agrees with Fraction and int hashing of the coefficients
+        return hash((self.n_pairs, self.terms))
+
+    def __repr__(self):
+        return f"CanonicalPolynomial(n_pairs={self.n_pairs!r}, terms={self.terms!r})"
 
     @classmethod
     def from_terms(cls, terms: Mapping[_Exponents, object], n_pairs: int) -> "CanonicalPolynomial":
@@ -57,8 +71,9 @@ class CanonicalPolynomial:
             exps = tuple(int(k) for k in exps)
             if len(exps) != 2 * n_pairs or any(k < 0 for k in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {n_pairs} pair(s)")
-            pairs.append((exps, _coerce(c)))
-        return _collect(pairs, n_pairs)
+            pairs.append((exps, Fraction(c)))  # Fraction(float) is exact for the binary value
+        den = math.lcm(*(c.denominator for _, c in pairs))
+        return _collect(((e, c.numerator * (den // c.denominator)) for e, c in pairs), den, n_pairs)
 
     @classmethod
     def zero(cls, n_pairs: int = 1) -> "CanonicalPolynomial":
@@ -78,18 +93,23 @@ class CanonicalPolynomial:
         return cls.from_terms({(0,) * (2 * n_pairs): c}, n_pairs)
 
     def __add__(self, other):
-        other = self._match(other)
-        return _collect(self.terms + other.terms, self.n_pairs)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int) -> "CanonicalPolynomial":
         other = self._match(other)
-        return _collect(self.terms + tuple((e, -c) for e, c in other.terms), self.n_pairs)
+        den = math.lcm(self.denominator, other.denominator)
+        a, b = den // self.denominator, sign * den // other.denominator
+        return _collect([(e, a * c) for e, c in self.numerators] + [(e, b * c) for e, c in other.numerators],
+                        den, self.n_pairs)
 
     def __mul__(self, other):
         other = self._match(other)
         return _collect(
-            ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-             for e1, c1 in self.terms for e2, c2 in other.terms),
+            ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in self.numerators for e2, c2 in other.numerators),
+            self.denominator * other.denominator,
             self.n_pairs,
         )
 
@@ -113,15 +133,16 @@ class CanonicalPolynomial:
     def differentiate(self, kind: str, index: int = 0) -> "CanonicalPolynomial":
         pos = index + (self.n_pairs if kind == "p" else 0)
         return _collect(
-            ((e[:pos] + (e[pos] - 1,) + e[pos + 1:], c * e[pos]) for e, c in self.terms if e[pos]),
+            ((e[:pos] + (e[pos] - 1,) + e[pos + 1:], c * e[pos]) for e, c in self.numerators if e[pos]),
+            self.denominator,
             self.n_pairs,
         )
 
     def total_degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=0)
+        return max((sum(e) for e, _ in self.numerators), default=0)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def evaluate(self, xs, ps) -> float:
         values = [*xs[: self.n_pairs], *ps[: self.n_pairs]]
@@ -158,8 +179,8 @@ def parse_canonical(text: str, n_pairs: int = 1) -> CanonicalPolynomial:
                     f"{name!r} is not a canonical coordinate for {n_pairs} pair(s)"
                 )
             exps[allowed[name]] += k
-        pairs.append((tuple(exps), _coerce(c)))
-    return _collect(pairs, n_pairs)
+        pairs.append((tuple(exps), Fraction(c)))
+    return CanonicalPolynomial.from_terms(ex.collect_terms(pairs), n_pairs)
 
 
 def poisson_bracket(f: CanonicalPolynomial, h: CanonicalPolynomial) -> CanonicalPolynomial:
@@ -167,11 +188,18 @@ def poisson_bracket(f: CanonicalPolynomial, h: CanonicalPolynomial) -> Canonical
     c2 x^c p^d of h add c1 c2 (a_i d_i - c_i b_i) at exponent e1 + e2 - 1_{x_i} - 1_{p_i} for each pair i."""
     if f.n_pairs != h.n_pairs:
         raise ValueError("polynomials use different numbers of canonical pairs")
-    n = f.n_pairs  # position k is x_i or p_i exactly when k % n == i
-    return _collect(((tuple(a + b - (k % n == i) for k, (a, b) in enumerate(zip(e1, e2))),
-                      Fraction(c1.numerator * c2.numerator * w, c1.denominator * c2.denominator))
-                     for e1, c1 in f.terms for e2, c2 in h.terms for i in range(n)
-                     for w in (e1[i] * e2[i + n] - e2[i] * e1[i + n],) if w), n)
+    n, out = f.n_pairs, []
+    for e1, c1 in f.numerators:
+        for e2, c2 in h.numerators:
+            e = list(map(add, e1, e2))
+            for i in range(n):
+                w = e1[i] * e2[i + n] - e2[i] * e1[i + n]
+                if w:
+                    k = e.copy()
+                    k[i] -= 1
+                    k[i + n] -= 1
+                    out.append((tuple(k), c1 * c2 * w))
+    return _collect(out, f.denominator * h.denominator, n)
 
 
 @dataclass(frozen=True)

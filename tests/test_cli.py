@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from avcp import expressions as ex
-from avcp.cli import entry, main
+from avcp.cli import _build_parser, entry, main
 from avcp.evolution import HamiltonianSchedule
 from avcp.experiments import ExperimentSpec
 from avcp.expressions import BindingSet
@@ -459,6 +459,17 @@ def test_an_unknown_action_prints_usage_and_exits_one(args):
     assert out == ""
     assert "invalid choice" in err and "usage: avcp" in err
     assert "Traceback" not in err
+
+
+def test_the_parser_is_built_once_and_each_call_parses_afresh(capsys):
+    assert _build_parser() is _build_parser()
+    calls = [["poisson", "bogus"], ["--help"], ["poisson", "check", "--f", "p", "--levels", "32"],
+             ["poisson", "check", "--levels", "32"]]
+    runs = [(main(args), capsys.readouterr()) for args in calls * 2]
+    assert runs[:4] == runs[4:]  # the same exit codes, usage text, errors and reports every time
+    assert [rc for rc, _ in runs[:4]] == [1, 0, 0, 0]
+    assert "usage: avcp" in runs[0][1].err
+    assert runs[2][1].out != runs[3][1].out  # one call's --f does not carry over to the next
 
 
 def test_poisson_check_command(capsys):

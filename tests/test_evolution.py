@@ -31,6 +31,7 @@ from avcp.kinematics import (
 from avcp.operators import (
     HermitianOperator,
     QuantumState,
+    as_complex_matrix,
     commutator,
     eigh_stack,
     expectation,
@@ -265,6 +266,99 @@ def test_at_most_one_block_of_slice_operators_is_alive():
 
     evolve(random_state(3, rng), HamiltonianSchedule.from_function(fn, 0.0, 1.0), 20_000)
     assert peak <= avcp.evolution._BLOCK_SLICES
+
+
+# --- evolve against the earlier blocked slice loop ---------------------------------
+
+
+def _blocked_reference_evolve(v, sched, steps):
+    """The earlier library loop, kept as the byte reference: each slice's shape checked in turn before
+    the block is stacked, the eigenvectors conjugated per slice (once per run for pieces), and the norm
+    taken by `np.linalg.norm` on a freshly allocated product."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    span = sched.t_end - sched.t_start
+    if span == 0:
+        return QuantumState(v.amplitudes.copy(), v.factor_dims)
+    if sched.fn is None and sched.dim != v.dim:
+        raise DimMismatch(f"schedule dim {sched.dim} vs state dim {v.dim}")
+    amps = np.array(v.amplitudes, dtype=complex)
+    dt = span / steps
+    block = max(1, min(avcp.evolution._BLOCK_SLICES, avcp.evolution._BLOCK_ENTRIES // v.dim**2))
+    last = None
+    for start in range(0, steps, block):
+        mids = [sched.t_start + (k + 0.5) * dt for k in range(start, min(start + block, steps))]
+        if sched.fn is None:
+            spectra = [sched.at(t).spectrum for t in mids]
+            values, vectors = np.array([s.eigenvalues for s in spectra]), [s.eigenvectors for s in spectra]
+        else:
+            mats = [h.matrix if isinstance(h, HermitianOperator) else h for h in map(sched.fn, mids)]
+            for m in mats:
+                if np.shape(m) != (v.dim, v.dim):
+                    raise DimMismatch(f"schedule dim {as_complex_matrix(m).shape[0]} vs state dim {v.dim}")
+            mats = np.array(mats, dtype=complex)
+            hermitian_gate(mats)
+            values, vectors, _, _ = eigh_stack(mats)
+        for phases, vecs in zip(np.exp(-1j * values * (dt / sched.alpha)), vectors):
+            if vecs is not last:
+                last, vecs_h = vecs, vecs.conj().T
+            amps = vecs @ (phases * (vecs_h @ amps))
+            norm = float(np.linalg.norm(amps))
+            if abs(norm - 1.0) > avcp.evolution._NORM_DRIFT_TOL:
+                raise DimMismatch(f"norm drifted by {abs(norm - 1.0):.3e} in one slice")
+            amps /= norm
+    return QuantumState(amps, v.factor_dims)
+
+
+@pytest.mark.parametrize("form", ["ndarray", "operator", "nested_list"])
+@pytest.mark.parametrize("steps", [4096, 257, 513, 1])
+def test_evolve_is_bytewise_the_earlier_slice_loop_for_callables(form, steps):
+    # blocks of 256 at d = 3: 4096 fills 16 blocks, 257 and 513 end one slice past a block edge
+    v, fn = _linear_drive(3, 80)
+    wrap = {"ndarray": fn, "operator": lambda t: HermitianOperator(fn(t)), "nested_list": lambda t: fn(t).tolist()}
+    sched = HamiltonianSchedule.from_function(wrap[form], -0.3, 1.1, 0.7)
+    got = evolve(v, sched, steps).amplitudes
+    assert np.array_equal(got, _blocked_reference_evolve(v, sched, steps).amplitudes)
+
+
+@pytest.mark.parametrize("steps", [7, 300])
+def test_evolve_is_bytewise_the_earlier_slice_loop_for_pieces_at_d100(steps):
+    # blocks of 104 slices at d = 100; 300 slices cross two block edges and both piece boundaries
+    rng = make_rng(81)
+    hs = [random_hermitian(100, rng) for _ in range(3)]
+    sched = HamiltonianSchedule.piecewise([(0.0, 0.4, hs[0]), (0.4, 1.3, hs[1]), (1.3, 2.0, hs[2])], 1.2)
+    v = random_state(100, rng)
+    got = evolve(v, sched, steps).amplitudes
+    assert np.array_equal(got, _blocked_reference_evolve(v, sched, steps).amplitudes)
+
+
+def _faulty_drive(start, fault):
+    """A d = 3 linear drive over [0, 1] whose slices from t = `start` on are `fault(t, matrix)`. Run with
+    600 slices in blocks of 256, start 0.6 puts the first faulty slice (slice 360) inside the second block."""
+    v, fn = _linear_drive(3, 82)
+    return v, HamiltonianSchedule.from_function(lambda t: fault(t, fn(t)) if t >= start else fn(t), 0.0, 1.0)
+
+
+_BAD_SLICES = {
+    "wrong_dim_mid_block": (0.6, lambda t, m: np.eye(4) if t < 0.61 else m),
+    "wrong_dim_whole_block": (0.0, lambda t, m: np.eye(4)),
+    "ragged_block": (0.6, lambda t, m: m[:2, :2]),
+    "ragged_slice": (0.6, lambda t, m: [list(m[0]), list(m[1, :2]), list(m[2])]),
+    "not_a_matrix": (0.6, lambda t, m: None),
+    "non_finite": (0.6, lambda t, m: _non_finite(m)),
+    "non_hermitian": (0.6, lambda t, m: _skew(m)),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_SLICES))
+def test_evolve_raises_what_the_earlier_slice_loop_raised(name):
+    v, sched = _faulty_drive(*_BAD_SLICES[name])
+    with pytest.raises(Exception) as want:
+        _blocked_reference_evolve(v, sched, 600)
+    with pytest.raises(Exception) as got:
+        evolve(v, sched, 600)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 # --- schedules and evolve ----------------------------------------------------------

@@ -94,7 +94,7 @@ def test_a_draw_outside_the_unit_interval_is_rejected_by_value(bad):
     [
         ([0.0, 0.0, 0.0], "0.0"),
         ([0.2, float("nan"), 0.3], "nan"),
-        pytest.param([1e308, 1e308, 0.0], "inf", marks=pytest.mark.filterwarnings("ignore:overflow encountered")),
+        pytest.param([1e308, 1e308, 0.0], "inf", marks=pytest.mark.filterwarnings("error")),
         ([-0.5, 1.0, 0.5], "1.0"),
     ],
 )

@@ -3,9 +3,11 @@
 `_ReferencePolynomial` keeps the earlier `CanonicalPolynomial` arithmetic
 verbatim: every operation merged like terms in its own dict with a
 `Fraction(0)` default and handed the result back to `from_terms`, which
-re-validated and re-coerced it.  The library now routes every site through one
-accumulator (`poisson._collect`, over `expressions.collect_terms`); these tests
-require the same sorted `Fraction` terms, term for term, on seeded random inputs.
+re-validated and re-coerced it.  The library now keeps integer numerators over one
+common denominator and routes every site through one accumulator
+(`poisson._collect`, over `expressions.collect_terms`); these tests require the
+same sorted `Fraction` terms, term for term, and the same `==`, `hash` and
+`repr`, on seeded random inputs.
 """
 
 from __future__ import annotations
@@ -178,6 +180,8 @@ def _same(new: CanonicalPolynomial, ref: _ReferencePolynomial) -> bool:
         and new.n_pairs == ref.n_pairs
         and new.terms == ref.terms
         and repr(new.terms) == repr(ref.terms)
+        and hash(new) == hash(ref)
+        and repr(new) == repr(ref).replace("_ReferencePolynomial", "CanonicalPolynomial", 1)
     )
 
 
@@ -228,6 +232,58 @@ def test_arithmetic_matches_reference(n_pairs):
         bad += b
     assert count == 900
     assert not bad, bad[:3]
+
+
+# thirds and twelfths, binary floats with 2^k denominators (0.1 is 3602879701896397 / 2^55), integers
+_MIXED = (Fraction(1, 3), Fraction(-5, 6), Fraction(7, 12), 0.1, 0.375, -2.5, 1e-3, 3, -1)
+
+
+def _mixed_terms(rng, n_pairs: int) -> dict:
+    terms = {}
+    for _ in range(int(rng.integers(1, 5))):
+        exps = tuple(int(rng.integers(0, 3)) for _ in range(2 * n_pairs))
+        terms[exps] = _MIXED[int(rng.integers(0, len(_MIXED)))]
+    return terms
+
+
+def _mixed_cases(rng, n_pairs: int):
+    """Yield (label, new, reference) over coefficients with mixed denominators, sums that cancel to zero included."""
+    (f, rf), (g, rg) = _pair(_mixed_terms(rng, n_pairs), n_pairs), _pair(_mixed_terms(rng, n_pairs), n_pairs)
+    scalar = _MIXED[int(rng.integers(0, len(_MIXED)))]
+    k, i = int(rng.integers(0, 4)), int(rng.integers(0, n_pairs))
+    yield "from_terms", f, rf
+    yield "constant", CanonicalPolynomial.constant(scalar, n_pairs), _ReferencePolynomial.constant(scalar, n_pairs)
+    yield "f + g", f + g, rf + rg
+    yield "f - g", f - g, rf - rg
+    yield "(f + g) - g - f", (f + g) - g - f, (rf + rg) - rg - rf
+    yield "f + scalar", f + scalar, rf + scalar
+    yield "f * g", f * g, rf * rg
+    yield "f * scalar", f * scalar, rf * scalar
+    yield f"f ** {k}", f**k, rf**k
+    yield f"d/dx{i} (f g)", (f * g).differentiate("x", i), (rf * rg).differentiate("x", i)
+    yield f"d/dp{i} f", f.differentiate("p", i), rf.differentiate("p", i)
+    yield "{f, g}", poisson_bracket(f, g), _reference_bracket(rf, rg)
+    yield (
+        "{f, g} + {g, f}",
+        poisson_bracket(f, g) + poisson_bracket(g, f),
+        _reference_bracket(rf, rg) + _reference_bracket(rg, rf),
+    )
+    yield "{f g, f}", poisson_bracket(f * g, f), _reference_bracket(rf * rg, rf)
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2, 3])
+def test_mixed_denominators_match_reference_in_terms_eq_hash_and_repr(n_pairs):
+    rng = make_rng(4000 + n_pairs)
+    cases = [case for _ in range(40) for case in _mixed_cases(rng, n_pairs)]
+    _, bad = _mismatches(cases)
+    assert not bad, bad[:3]
+    # == agrees with the reference's on every pair of results, so equal values are equal however they were built
+    news, refs = [new for _, new, _ in cases], [ref for _, _, ref in cases]
+    assert [[a == b for b in news] for a in news] == [[a == b for b in refs] for a in refs]
+    # the draws reach zero sums, thirds and large binary denominators
+    dens = {c.denominator for new in news for _, c in new.terms}
+    assert any(new.is_zero() for new in news)
+    assert any(d % 3 == 0 for d in dens) and any(d >= 2**50 for d in dens)
 
 
 def _verify_shaped_terms(rng) -> dict:
