@@ -432,6 +432,8 @@ def run_suite(
     """Run one suite (or `all`) and return a JSON-ready report."""
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; options: all, {', '.join(SUITE_NAMES)}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     names = list(SUITE_NAMES) if suite == "all" else [suite]
     checks: list[dict] = []
     for name in names:

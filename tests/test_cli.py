@@ -1,3 +1,4 @@
+import argparse
 import ctypes
 import json
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from avcp import expressions as ex
+from avcp import verify as verify_mod
 from avcp.cli import _build_parser, entry, main
 from avcp.evolution import HamiltonianSchedule
 from avcp.experiments import ExperimentSpec
@@ -494,3 +496,124 @@ def test_bad_usage_exits_one(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+# --- which options each subcommand takes -----------------------------------------------
+
+SHARED_OPTIONS = ("seed", "trials", "alpha", "levels", "dims")
+READS = {
+    "quantize": (),
+    "experiment": ("seed", "trials", "alpha"),
+    "verify": ("seed", "alpha", "levels", "dims"),
+    "kinematics": ("seed", "alpha", "levels", "dims"),
+    "angular": ("seed", "alpha", "levels", "dims"),
+    "demo": ("seed", "trials", "alpha"),
+    "evolve": ("alpha",),
+    "poisson": ("alpha", "levels"),
+}
+OWN_OPTIONS = {"quantize": {"--bindings"}, "verify": {"--bindings"},
+               "evolve": {"--state", "--schedule", "--steps"}, "poisson": {"--f", "--h", "--gamma"}}
+# each subcommand with what it requires, so that the option under test is the only usage error
+MINIMAL_ARGS = {
+    "quantize": ["quantize", "A", "--bindings", "bindings.json"],
+    "experiment": ["experiment", "spec.json"],
+    "verify": ["verify", "all"],
+    "kinematics": ["kinematics", "verify"],
+    "angular": ["angular", "verify"],
+    "demo": ["demo", "a-plus-b"],
+    "evolve": ["evolve", "--state", "state.json", "--schedule", "sched.json"],
+    "poisson": ["poisson", "check"],
+}
+OPTION_VALUES = {"seed": "3", "trials": "10", "alpha": "2", "levels": "32", "dims": "2..4"}
+DROPPED = [(cmd, opt) for cmd, reads in READS.items() for opt in SHARED_OPTIONS if opt not in reads]
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    assert len(DROPPED) == 19
+    assert sum(len(reads) + 2 for reads in READS.values()) == 37  # with --format and --out
+    (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {name: {s for a in p._actions for s in a.option_strings} for name, p in commands.choices.items()}
+    want = {
+        cmd: {"-h", "--help", "--format", "--out", *(f"--{opt}" for opt in reads), *OWN_OPTIONS.get(cmd, ())}
+        for cmd, reads in READS.items()
+    }
+    assert got == want
+
+
+@pytest.mark.parametrize("command, option", DROPPED)
+def test_an_option_the_subcommand_does_not_read_is_a_usage_error(command, option, capsys):
+    rc = main([*MINIMAL_ARGS[command], f"--{option}", OPTION_VALUES[option]])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert f"unrecognized arguments: --{option}" in captured.err and "Traceback" not in captured.err
+
+
+# --- exit paths ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_poisson_check_of_a_non_simple_input_exits_two(fmt, capsys):
+    rc = main(["poisson", "check", "--f", "x^2", "--h", "p^2", "--levels", "32", "--format", fmt])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == ""
+    if fmt == "json":
+        assert json.loads(captured.out) == {"error": "NonSimpleInput", "failures": {"{f,h}": [["p", "x"]]}}
+    else:
+        assert captured.out == "non-simple input; failures: {'{f,h}': [['p', 'x']]}\n"
+
+
+def test_poisson_check_reports_non_simple_inputs_as_the_counterexample_demo_does(capsys):
+    assert main(["poisson", "check", "--f", "x^3", "--h", "p^3"]) == 2
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert main(["demo", "poisson-counterexample"]) == 0
+    assert failures == json.loads(capsys.readouterr().out)["non_simple"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "operators"],
+        ["angular", "verify"],
+        ["demo", "a-plus-b", "--trials", "200"],
+        ["poisson", "counterexample", "--levels", "32"],
+        ["evolve", "--steps", "4"],
+    ],
+)
+def test_a_bad_alpha_variable_is_an_error_line_for_commands_that_read_it(args, tmp_path, monkeypatch, capsys):
+    if args[0] == "evolve":
+        (tmp_path / "state.json").write_text(json.dumps({"dim": 2, "re": [1.0, 0.0]}))
+        (tmp_path / "sched.json").write_text(json.dumps([{"t0": 0.0, "t1": 1.0, "operator": matrix_to_dict(SX)}]))
+        args = [*args, "--state", str(tmp_path / "state.json"), "--schedule", str(tmp_path / "sched.json")]
+    monkeypatch.setenv("AVCP_ALPHA", "bogus")
+    rc = main(args)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: could not convert string to float: 'bogus'\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_quantize_does_not_read_the_alpha_variable(fmt, pauli_bindings_file, monkeypatch, capsys):
+    args = ["quantize", "A + B", "--bindings", pauli_bindings_file, "--format", fmt]
+    monkeypatch.delenv("AVCP_ALPHA", raising=False)
+    assert main(args) == 0
+    unset = capsys.readouterr()
+    monkeypatch.setenv("AVCP_ALPHA", "bogus")
+    assert main(args) == 0
+    assert capsys.readouterr() == unset
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("suite", [["verify", "all"], ["verify", "kinematics"], ["kinematics", "verify"]])
+def test_verify_rejects_a_non_positive_or_non_finite_alpha_with_exit_one(suite, alpha, monkeypatch, capsys):
+    def no_suite_runs(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verify_mod, "_SUITES", dict.fromkeys(verify_mod._SUITES, no_suite_runs))
+    rc = main([*suite, "--alpha", alpha])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: alpha must be finite and positive, got {float(alpha)}\n"
