@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonSimpleInput, UnknownDemo
+from .evolution import require_alpha
 from .experiments import ExperimentSpec, run_trials
 from .expressions import BindingSet, demonstrate_inconsistency
 from .kinematics import build_fock
@@ -180,4 +181,5 @@ def run_demo(name: str, seed: int = 0, trials: int = 20000, alpha: float = 1.0):
         raise UnknownDemo(
             f"no demo named {name!r}; options: {', '.join(sorted(DEMOS))}"
         ) from None
+    require_alpha(alpha)
     return fn(seed=seed, trials=trials, alpha=alpha)

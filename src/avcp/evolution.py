@@ -34,6 +34,12 @@ _NORM_DRIFT_TOL = 1e-12
 _BLOCK_SLICES, _BLOCK_ENTRIES = 256, 2**20
 
 
+def require_alpha(alpha: float) -> None:
+    """Raise ValueError unless the evolution constant alpha is finite and positive."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+
+
 @dataclass(frozen=True)
 class HamiltonianSchedule:
     """Hamiltonian as a function of time over a finite interval.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimTooSmall, UnsafeState
-from .evolution import check_energy_conservation, evolved_expectation, propagator
+from .evolution import check_energy_conservation, evolved_expectation, propagator, require_alpha
 from .operators import HermitianOperator, QuantumState, commutator, expectation
 
 #: maximum total weight on the top boundary levels for a state to count safe
@@ -41,6 +41,7 @@ def build_fock(n_levels: int, alpha: float = 1.0) -> FockTruncation:
     """Ladder operator and the derived position/momentum pair."""
     if n_levels < 2:
         raise DimTooSmall("need at least 2 levels")
+    require_alpha(alpha)
     a = np.zeros((n_levels, n_levels), dtype=complex)
     for k in range(1, n_levels):
         a[k - 1, k] = math.sqrt(k)

@@ -21,7 +21,7 @@ from .angular import (
     spin_operators,
 )
 from .errors import AvcpError
-from .evolution import HamiltonianSchedule, check_energy_conservation, evolve, propagate, propagator
+from .evolution import HamiltonianSchedule, check_energy_conservation, evolve, propagate, propagator, require_alpha
 from .experiments import ExperimentSpec, check_avcp, enumerate_expectation, run_trials
 from .expressions import BindingSet
 from .kinematics import (
@@ -100,8 +100,10 @@ def _suite_operators(seed: int, alpha: float, levels: int, dims) -> list[dict]:
     f = lambda x: x**3 - x
     direct = apply_spectral_function(h, lambda x: f(g(x)))
     composed = apply_spectral_function(apply_spectral_function(h, g), f)
+    # relative to the result's size: |f(g(x))| reaches 1e5 on some seeds, where 1e-10 is a few ulps
+    scale = max(1.0, max_norm(direct.matrix))
     checks.append(
-        _check("functional_calculus_composition", max_norm(direct.matrix - composed.matrix), 1e-10)
+        _check("functional_calculus_composition", max_norm(direct.matrix - composed.matrix) / scale, 1e-10)
     )
 
     v = random_state(4, rng)
@@ -212,6 +214,16 @@ def _suite_avcp(seed: int, alpha: float, levels: int, dims) -> list[dict]:
 # evolution
 # ---------------------------------------------------------------------------
 
+def midpoint_order_ratio(run) -> float:
+    """|v16 - v32| / |v32 - v64|, where `run(steps)` returns the final amplitudes after `steps` slices.
+
+    If the error falls as e(N) ~ C/N^k, the two differences are (1 - 2^-k) C/16^k and
+    (1 - 2^-k) C/32^k, so the ratio tends to 2^k: 4 for the second-order midpoint rule.
+    """
+    v16, v32, v64 = (run(steps) for steps in (16, 32, 64))
+    return float(np.linalg.norm(v16 - v32) / np.linalg.norm(v32 - v64))
+
+
 def _suite_evolution(seed: int, alpha: float, levels: int, dims) -> list[dict]:
     rng = make_rng(seed)
     checks = []
@@ -252,12 +264,7 @@ def _suite_evolution(seed: int, alpha: float, levels: int, dims) -> list[dict]:
         return h0.matrix + t * h1.matrix
 
     sched_t = HamiltonianSchedule.from_function(ht, 0.0, 1.0, alpha)
-    ref = evolve(v0, sched_t, 4096).amplitudes
-
-    def err(steps):
-        return float(np.linalg.norm(evolve(v0, sched_t, steps).amplitudes - ref))
-
-    ratio = err(16) / err(32)
+    ratio = midpoint_order_ratio(lambda steps: evolve(v0, sched_t, steps).amplitudes)
     checks.append(_check("midpoint_order_ratio_dev", abs(ratio - 4.0), 0.45))
     return checks
 
@@ -432,8 +439,7 @@ def run_suite(
     """Run one suite (or `all`) and return a JSON-ready report."""
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; options: all, {', '.join(SUITE_NAMES)}")
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    require_alpha(alpha)
     names = list(SUITE_NAMES) if suite == "all" else [suite]
     checks: list[dict] = []
     for name in names:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from avcp import demos as demo_mod
 from avcp import expressions as ex
 from avcp import verify as verify_mod
 from avcp.cli import _build_parser, entry, main
@@ -617,3 +618,25 @@ def test_verify_rejects_a_non_positive_or_non_finite_alpha_with_exit_one(suite, 
     assert rc == 1
     assert captured.out == ""
     assert captured.err == f"error: ValueError: alpha must be finite and positive, got {float(alpha)}\n"
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", [["poisson", "check"], ["poisson", "counterexample"], ["demo", "a-plus-b"],
+                                     ["demo", "poisson-counterexample"], ["demo", "hermitization"]])
+def test_poisson_and_demo_reject_a_non_positive_or_non_finite_alpha_with_exit_one(command, alpha, monkeypatch, capsys):
+    def no_demo_runs(**kwargs):
+        raise AssertionError("a demo ran")
+
+    monkeypatch.setattr(demo_mod, "DEMOS", dict.fromkeys(demo_mod.DEMOS, no_demo_runs))
+    rc = main([*command, "--alpha", alpha])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: alpha must be finite and positive, got {float(alpha)}\n"
+
+
+@pytest.mark.parametrize("command", [["poisson", "check", "--levels", "16"], ["demo", "a-plus-b", "--trials", "10"]])
+def test_a_zero_alpha_variable_is_rejected_by_poisson_and_demo(command, monkeypatch, capsys):
+    monkeypatch.setenv("AVCP_ALPHA", "0")
+    assert main(command) == 1
+    assert capsys.readouterr().err == "error: ValueError: alpha must be finite and positive, got 0.0\n"

@@ -38,6 +38,12 @@ def test_min_levels():
         build_fock(1)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+def test_build_fock_rejects_a_non_positive_or_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and positive"):
+        build_fock(8, alpha)
+
+
 def test_defect_2x2_direct_oracle():
     f = build_fock(2, alpha=1.0)
     x, p = f.x_op.matrix, f.p_op.matrix

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import avcp.verify
 from avcp.errors import (
     DimMismatch,
     DomainError,
@@ -37,6 +38,7 @@ from avcp.operators import (
     state_to_json,
     tensor,
 )
+from avcp.verify import run_suite
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -203,6 +205,36 @@ def test_functional_calculus_composition(seed):
     direct = apply_spectral_function(h, lambda x: f(g(x)))
     chained = apply_spectral_function(apply_spectral_function(h, g), f)
     assert max_norm(direct.matrix - chained.matrix) <= 1e-10
+
+
+def _composition_check(report):
+    (check,) = [c for c in report["checks"] if c["name"] == "functional_calculus_composition"]
+    return check
+
+
+@pytest.mark.parametrize("seed", [98, 133])
+def test_verify_composition_check_is_relative_to_the_result_size(seed):
+    # |f(g(H))| reaches about 1e5 here: the absolute residual exceeds 1e-10, the relative one does not
+    report = run_suite("operators", seed=seed)
+    assert report["passed"]
+    assert _composition_check(report)["threshold"] == 1e-10
+
+
+def test_verify_composition_check_fails_on_a_composition_off_by_one_part_in_a_million(monkeypatch):
+    real = avcp.verify.apply_spectral_function
+    inner_results = []
+
+    def perturbed(h, f):
+        out = real(h, f)
+        if any(h is r for r in inner_results):  # the outer step of f applied to g(H)
+            return HermitianOperator(out.matrix * (1 + 1e-6))
+        inner_results.append(out)
+        return out
+
+    monkeypatch.setattr(avcp.verify, "apply_spectral_function", perturbed)
+    check = _composition_check(run_suite("operators", seed=7))
+    assert not check["passed"]
+    assert check["value"] > 1e-7
 
 
 # --- commutator ----------------------------------------------------------------
