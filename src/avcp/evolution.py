@@ -58,8 +58,7 @@ class HamiltonianSchedule:
     def __post_init__(self):
         if not (np.isfinite([self.t_start, self.t_end]).all() and 0 <= self.t_end - self.t_start < np.inf):
             raise ScheduleGap(f"schedule span [{self.t_start}, {self.t_end}] must be finite and not reversed")
-        if not 0 < self.alpha < np.inf:
-            raise ScheduleGap(f"alpha must be finite and positive, got {self.alpha!r}")
+        require_alpha(self.alpha)
 
     @classmethod
     def piecewise(cls, pieces: Sequence[tuple[float, float, HermitianOperator]], alpha: float = 1.0):
@@ -183,16 +182,10 @@ def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumSt
                 vectors_h.append(last[1])
         else:  # one validated stack: the block's dims first, then each slice in order as HermitianOperator would
             mats = [h.matrix if isinstance(h, HermitianOperator) else h for h in map(sched.fn, mids)]
-            try:
-                stack = np.array(mats, dtype=complex)
-            except (ValueError, TypeError):
-                stack = None
-            if stack is None or stack.shape != (len(mats), v.dim, v.dim):  # name the first slice at fault
-                for m in mats:
-                    if np.shape(m) != (v.dim, v.dim):
-                        raise DimMismatch(f"schedule dim {as_complex_matrix(m).shape[0]} vs state dim {v.dim}")
-                stack = np.array(mats, dtype=complex)
-            mats = stack  # rebinding drops fn's results before the next block is sampled
+            for m in mats:  # the first slice at fault is the one named
+                if np.shape(m) != (v.dim, v.dim):
+                    raise DimMismatch(f"schedule dim {as_complex_matrix(m).shape[0]} vs state dim {v.dim}")
+            mats = np.array(mats, dtype=complex)  # rebinding drops fn's results before the next block is sampled
             hermitian_gate(mats)
             values, vectors, _, _ = eigh_stack(mats)
             vectors_h = vectors.conj().swapaxes(1, 2)

@@ -25,7 +25,7 @@ from . import expressions as ex
 from .errors import DimMismatch, StateSpaceTooLarge, UnboundVariable
 from .evolution import HamiltonianSchedule, evolve
 from .expressions import BindingSet
-from .operators import QuantumState, born_split, expectation, inverse_cdf, state_from_dict, state_to_dict
+from .operators import QuantumState, born_split, expectation, inverse_cdf, make_rng, state_from_dict, state_to_dict
 
 #: exact enumeration refuses to expand more outcome tuples than this
 ENUMERATION_BUDGET = 10**6
@@ -77,6 +77,10 @@ class EvolutionWindow:
     t1: float
     t2: float
     steps: int = 128
+
+    def __post_init__(self):
+        for t in (self.t1, self.t2):  # a time outside the schedule fails here, before any evolution
+            self.schedule.restrict(self.schedule.t_start, t)
 
     def state_at(self, v0: QuantumState, t: float) -> QuantumState:
         sub = self.schedule.restrict(self.schedule.t_start, t)
@@ -146,12 +150,8 @@ class ExperimentSpec:
             if sorted(flat) != sorted(self.implementation):
                 raise ValueError("groups override must cover the implementation exactly")
             for group in self.plan.groups:
-                for i, a in enumerate(group):
-                    for b in group[i + 1:]:
-                        if not bindings.commute(a, b):
-                            raise ValueError(
-                                f"override groups {a!r} and {b!r} together but they do not commute"
-                            )
+                for a, b in bindings.noncommuting_pairs(group):
+                    raise ValueError(f"override groups {a!r} and {b!r} together but they do not commute")
 
     def state_at_t1(self) -> QuantumState:
         return self._state_at(self.evolution.t1) if self.evolution else self.initial_state
@@ -362,7 +362,7 @@ def run_trials(spec: ExperimentSpec, n: int, seed: int, keep_trials: bool = Fals
         raise ValueError("n must be >= 1")
     target_op, exact = _exact(spec)
     v1, v2 = spec.state_at_t1().amplitudes, spec.state_at_t2().amplitudes
-    uniforms = np.random.default_rng(seed).random((n, len(spec.plan.slots()) + 1))
+    uniforms = make_rng(seed).random((n, len(spec.plan.slots()) + 1))
     (target_vals,) = _sample_copy([target_op.spectrum], v2, [uniforms[:, -1]])
 
     columns = iter(uniforms.T)

@@ -23,7 +23,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -539,6 +539,17 @@ class BindingSet:
             self._commute[key] = max_norm(commutator(ma, mb)) <= bound
         return self._commute[key]
 
+    def noncommuting_pairs(self, names: Sequence[str]) -> Iterator[tuple[str, str]]:
+        """The pairs (a, b) of `names` that do not commute, a before b in `names`, found lazily.
+
+        Every name is bound first, so an unbound one raises before any commutator is formed,
+        and a caller that stops at the first pair forms no commutator past it.
+        """
+        names = tuple(names)
+        for name in names:
+            self.binding(name)
+        return ((a, b) for i, a in enumerate(names) for b in names[i + 1:] if not self.commute(a, b))
+
     # JSON form: {name: operator-dict | {"operator": ..., "subsystem": k}},
     # optionally wrapped as {"bindings": ..., "factor_dims": [...]}.
     @classmethod
@@ -587,13 +598,7 @@ def classify_simple(e, bindings: BindingSet) -> SimplicityVerdict:
     form = expand_polynomial(e)
     offending: set[tuple[str, str]] = set()
     for m, _ in form.terms:
-        names = sorted(m.names())
-        for name in names:
-            bindings.binding(name)
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                if not bindings.commute(a, b):
-                    offending.add((a, b))
+        offending.update(bindings.noncommuting_pairs(sorted(m.names())))
     pairs = tuple(sorted(offending))
     return SimplicityVerdict(not pairs, pairs)
 
@@ -640,9 +645,9 @@ def quantize_hermitized(e, bindings: BindingSet) -> HermitianOperator:
     """Symmetrized-product quantization; UNSOUND, kept for the demonstration.
 
     Every explicit product falls back to X, Y -> (XY + YX)/2, folded from the
-    left, so the operator depends on how the expression groups its factors.
-    That grouping dependence is exactly the inconsistency exhibited by
-    `demonstrate_inconsistency`.
+    right (A*B*C is A o (B o C)), so the operator depends on how the
+    expression groups its factors.  That grouping dependence is exactly the
+    inconsistency exhibited by `demonstrate_inconsistency`.
     """
     m = _hermitized_matrix(e, bindings)
     return hermitian_from_matrix((m + m.conj().T) / 2)

@@ -1,13 +1,14 @@
 """Residual-based verification suites behind the `verify` command.
 
-Each suite runs a fixed list of seeded checks and reports every residual
-against its threshold.  Reports are plain dicts of Python scalars so their
-JSON rendering is byte-stable for a given seed.
+Each suite yields a fixed list of seeded checks, every residual against its
+threshold, and `run_suite` collects them.  Reports are plain dicts of Python
+scalars so their JSON rendering is byte-stable for a given seed.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -83,9 +84,8 @@ def _error_check(name: str, exc: Exception) -> dict:
 # operators
 # ---------------------------------------------------------------------------
 
-def _suite_operators(seed: int, alpha: float, levels: int, dims) -> list[dict]:
+def _suite_operators(seed: int, alpha: float, levels: int, dims) -> Iterator[dict]:
     rng = make_rng(seed)
-    checks = []
 
     worst = 0.0
     for dim in (2, 3, 4, 6, 8):
@@ -93,7 +93,7 @@ def _suite_operators(seed: int, alpha: float, levels: int, dims) -> list[dict]:
         s = h.spectrum
         rebuilt = (s.eigenvectors * s.eigenvalues) @ s.eigenvectors.conj().T
         worst = max(worst, max_norm(rebuilt - h.matrix))
-    checks.append(_check("spectral_reconstruction", worst, 1e-10))
+    yield _check("spectral_reconstruction", worst, 1e-10)
 
     h = random_hermitian(5, rng)
     g = lambda x: 2 * x * x - 1.0
@@ -102,19 +102,15 @@ def _suite_operators(seed: int, alpha: float, levels: int, dims) -> list[dict]:
     composed = apply_spectral_function(apply_spectral_function(h, g), f)
     # relative to the result's size: |f(g(x))| reaches 1e5 on some seeds, where 1e-10 is a few ulps
     scale = max(1.0, max_norm(direct.matrix))
-    checks.append(
-        _check("functional_calculus_composition", max_norm(direct.matrix - composed.matrix) / scale, 1e-10)
-    )
+    yield _check("functional_calculus_composition", max_norm(direct.matrix - composed.matrix) / scale, 1e-10)
 
     v = random_state(4, rng)
     h4 = random_hermitian(4, rng)
     phased = QuantumState(v.amplitudes * np.exp(1j * 0.8137))
-    checks.append(
-        _check(
-            "global_phase_invariance",
-            abs(expectation(h4, v) - expectation(h4, phased)),
-            1e-12,
-        )
+    yield _check(
+        "global_phase_invariance",
+        abs(expectation(h4, v) - expectation(h4, phased)),
+        1e-12,
     )
 
     probe = random_hermitian(3, rng)
@@ -130,57 +126,51 @@ def _suite_operators(seed: int, alpha: float, levels: int, dims) -> list[dict]:
     for pk, fk in zip(probs, freq):
         sigma = math.sqrt(max(pk * (1 - pk), 1e-12) / n_draws)
         z = max(z, abs(fk - pk) / sigma)
-    checks.append(_check("born_rule_sampling_z", z, 4.0))
+    yield _check("born_rule_sampling_z", z, 4.0)
 
     left = tensor(random_hermitian(2, rng), HermitianOperator(np.eye(3)))
     right = tensor(HermitianOperator(np.eye(2)), random_hermitian(3, rng))
-    checks.append(_check("disjoint_factor_commutation", max_norm(commutator(left, right)), 0.0))
+    yield _check("disjoint_factor_commutation", max_norm(commutator(left, right)), 0.0)
 
     op = random_hermitian(4, rng)
     state4 = random_state(4, rng)
     op_rt = operator_from_dict(operator_to_dict(op))
     st_rt = state_from_dict(state_to_dict(state4))
     round_trip = max(max_norm(op_rt.matrix - op.matrix), max_norm(st_rt.amplitudes - state4.amplitudes))
-    checks.append(_check("json_round_trip", round_trip, 1e-15))
-    return checks
+    yield _check("json_round_trip", round_trip, 1e-15)
 
 
 # ---------------------------------------------------------------------------
 # avcp
 # ---------------------------------------------------------------------------
 
-def _suite_avcp(seed: int, alpha: float, levels: int, dims) -> list[dict]:
+def _suite_avcp(seed: int, alpha: float, levels: int, dims) -> Iterator[dict]:
     rng = make_rng(seed)
-    checks = []
 
     op = random_hermitian(4, rng)
     state = random_state(4, rng)
     spec_sq = ExperimentSpec(state, BindingSet({"A": op}), ["A"], "A^2")
     lhs = expectation(HermitianOperator(op.matrix @ op.matrix), state)
-    checks.append(
-        _check("square_same_copy_enumeration", abs(enumerate_expectation(spec_sq) - lhs), 1e-12)
-    )
+    yield _check("square_same_copy_enumeration", abs(enumerate_expectation(spec_sq) - lhs), 1e-12)
 
     two = BindingSet({"A1": op, "A2": op})
     spec_cop = ExperimentSpec(state, two, ["A1", "A2"], "A1*A2", groups=[["A1"], ["A2"]])
-    checks.append(
-        _check(
-            "square_two_copies_enumeration",
-            abs(enumerate_expectation(spec_cop) - expectation(op, state) ** 2),
-            1e-12,
-        )
+    yield _check(
+        "square_two_copies_enumeration",
+        abs(enumerate_expectation(spec_cop) - expectation(op, state) ** 2),
+        1e-12,
     )
 
     a = random_hermitian(3, rng)
     b = random_hermitian(3, rng)
     st3 = random_state(3, rng)
     v = check_avcp(ExperimentSpec(st3, BindingSet({"A": a, "B": b}), ["A", "B"], "A + B"))
-    checks.append(_check("sum_rule_noncommuting", v.residual, v.tolerance))
+    yield _check("sum_rule_noncommuting", v.residual, v.tolerance)
 
     ca, cb = random_commuting_family(4, 2, rng)
     st4 = random_state(4, rng)
     v = check_avcp(ExperimentSpec(st4, BindingSet({"A": ca, "B": cb}), ["A", "B"], "A*B"))
-    checks.append(_check("product_rule_commuting", v.residual, v.tolerance))
+    yield _check("product_rule_commuting", v.residual, v.tolerance)
 
     herm = HermitianOperator((a.matrix @ b.matrix + b.matrix @ a.matrix) / 2)
     worst = 0.0
@@ -190,24 +180,23 @@ def _suite_avcp(seed: int, alpha: float, levels: int, dims) -> list[dict]:
             ExperimentSpec(probe, BindingSet({"A": a, "B": b, "C": herm}), ["A", "B"], "A*B", target="C")
         )
         worst = max(worst, vv.residual)
-    checks.append(_check("hermitized_product_violation", worst, 1e-6, op=">="))
+    yield _check("hermitized_product_violation", worst, 1e-6, op=">=")
 
     report = run_trials(
         ExperimentSpec(st3, BindingSet({"A": a, "B": b}), ["A", "B"], "A + 0.5*B"), 4000, seed
     )
-    checks.append(_check("sampling_vs_enumeration_z", max(report.z_lhs, report.z_rhs), 4.0))
+    yield _check("sampling_vs_enumeration_z", max(report.z_lhs, report.z_rhs), 4.0)
 
     rep = run_trials(
         ExperimentSpec(state, two, ["A1", "A2"], "A1*A2"), 500, seed, keep_trials=True
     )
     repeat_gap = float(np.abs(rep.trial_values["A1"] - rep.trial_values["A2"]).max())
-    checks.append(_check("same_copy_repetition_identical", repeat_gap, 0.0))
+    yield _check("same_copy_repetition_identical", repeat_gap, 0.0)
 
     r1 = run_trials(ExperimentSpec(st3, BindingSet({"A": a, "B": b}), ["A", "B"], "A + B"), 2000, seed)
     r2 = run_trials(ExperimentSpec(st3, BindingSet({"A": a, "B": b}), ["A", "B"], "A + B"), 2000, seed)
     same = float(max(abs(x - y) for x, y in zip(r1.to_dict().values(), r2.to_dict().values()) if isinstance(x, float)))
-    checks.append(_check("seeded_reproducibility", same, 0.0))
-    return checks
+    yield _check("seeded_reproducibility", same, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +213,8 @@ def midpoint_order_ratio(run) -> float:
     return float(np.linalg.norm(v16 - v32) / np.linalg.norm(v32 - v64))
 
 
-def _suite_evolution(seed: int, alpha: float, levels: int, dims) -> list[dict]:
+def _suite_evolution(seed: int, alpha: float, levels: int, dims) -> Iterator[dict]:
     rng = make_rng(seed)
-    checks = []
     worst_u = worst_norm = worst_energy = worst_comp = 0.0
     for _ in range(10):
         dim = int(rng.integers(2, 7))
@@ -240,10 +228,10 @@ def _suite_evolution(seed: int, alpha: float, levels: int, dims) -> list[dict]:
         t1, t2 = float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.1, 1.0))
         comp = propagate(h, t2, propagator(h, t1, alpha), alpha) - propagator(h, t1 + t2, alpha)
         worst_comp = max(worst_comp, max_norm(comp))
-    checks.append(_check("propagator_unitarity", worst_u, 1e-10))
-    checks.append(_check("norm_conservation", worst_norm, 1e-12))
-    checks.append(_check("energy_conservation", worst_energy, 1e-10))
-    checks.append(_check("propagator_composition", worst_comp, 1e-10))
+    yield _check("propagator_unitarity", worst_u, 1e-10)
+    yield _check("norm_conservation", worst_norm, 1e-12)
+    yield _check("energy_conservation", worst_energy, 1e-10)
+    yield _check("propagator_composition", worst_comp, 1e-10)
 
     h = random_hermitian(4, rng)
     s = h.spectrum
@@ -254,7 +242,7 @@ def _suite_evolution(seed: int, alpha: float, levels: int, dims) -> list[dict]:
     for _ in range(4):
         probe = random_hermitian(4, rng)
         worst = max(worst, abs(expectation(probe, evolved) - expectation(probe, eigstate)))
-    checks.append(_check("eigenstate_observables_frozen", worst, 1e-10))
+    yield _check("eigenstate_observables_frozen", worst, 1e-10)
 
     h0 = random_hermitian(3, rng)
     h1 = random_hermitian(3, rng)
@@ -265,16 +253,14 @@ def _suite_evolution(seed: int, alpha: float, levels: int, dims) -> list[dict]:
 
     sched_t = HamiltonianSchedule.from_function(ht, 0.0, 1.0, alpha)
     ratio = midpoint_order_ratio(lambda steps: evolve(v0, sched_t, steps).amplitudes)
-    checks.append(_check("midpoint_order_ratio_dev", abs(ratio - 4.0), 0.45))
-    return checks
+    yield _check("midpoint_order_ratio_dev", abs(ratio - 4.0), 0.45)
 
 
 # ---------------------------------------------------------------------------
 # kinematics
 # ---------------------------------------------------------------------------
 
-def _suite_kinematics(seed: int, alpha: float, levels: int, dims) -> list[dict]:
-    checks = []
+def _suite_kinematics(seed: int, alpha: float, levels: int, dims) -> Iterator[dict]:
     worst_off = 0.0
     worst_diag = 0.0
     worst_corner = 0.0
@@ -288,27 +274,25 @@ def _suite_kinematics(seed: int, alpha: float, levels: int, dims) -> list[dict]:
         worst_diag = max(worst_diag, float(np.abs(np.diag(d)).max()))
         np.fill_diagonal(d, 0)
         worst_off = max(worst_off, max_norm(d))
-    checks.append(_check("defect_strictly_offdiagonal", worst_off, 0.0))
-    checks.append(_check("defect_diagonal_dust", worst_diag, 1e-13 * max(1.0, alpha)))
-    checks.append(_check("defect_corner_value", worst_corner, 1e-12))
+    yield _check("defect_strictly_offdiagonal", worst_off, 0.0)
+    yield _check("defect_diagonal_dust", worst_diag, 1e-13 * max(1.0, alpha))
+    yield _check("defect_corner_value", worst_corner, 1e-12)
 
     f = build_fock(max(16, levels), alpha)
     state = coherent_state(f, 1.1 + 0.3j)
-    checks.append(_check("coherent_state_is_safe", boundary_weight(state), 1e-10))
-    checks.append(_check("displacement_shifts_x", displacement_shift_residual(f, state, 0.1), 1e-6))
-    checks.append(_check("displacement_preserves_p", momentum_invariance_residual(f, state, 0.1), 1e-10))
-    checks.append(_check("photon_drift", photon_drift_check(f, 1.0, state, 1e-4), 1e-5))
-    return checks
+    yield _check("coherent_state_is_safe", boundary_weight(state), 1e-10)
+    yield _check("displacement_shifts_x", displacement_shift_residual(f, state, 0.1), 1e-6)
+    yield _check("displacement_preserves_p", momentum_invariance_residual(f, state, 0.1), 1e-10)
+    yield _check("photon_drift", photon_drift_check(f, 1.0, state, 1e-4), 1e-5)
 
 
 # ---------------------------------------------------------------------------
 # angular
 # ---------------------------------------------------------------------------
 
-def _suite_angular(seed: int, alpha: float, levels: int, dims) -> list[dict]:
+def _suite_angular(seed: int, alpha: float, levels: int, dims) -> Iterator[dict]:
     rng = make_rng(seed)
     lo, hi = dims
-    checks = []
     worst_cyc = worst_cas = worst_rot = worst_turn = 0.0
     for n in range(lo, hi + 1):
         t = spin_operators(n, alpha)
@@ -325,9 +309,9 @@ def _suite_angular(seed: int, alpha: float, levels: int, dims) -> list[dict]:
         )
         sign = 1.0 if (n % 2) == 1 else -1.0
         worst_turn = max(worst_turn, max_norm(full_turn_matrix(t) - sign * np.eye(n)))
-    checks.append(_check("cyclic_commutators", worst_cyc, 1e-10 * max(1.0, alpha**2)))
-    checks.append(_check("casimir_scalar", worst_cas, 1e-10 * max(1.0, alpha**2)))
-    checks.append(_check("rotation_generator_commutators", worst_rot, 1e-10 * max(1.0, alpha)))
+    yield _check("cyclic_commutators", worst_cyc, 1e-10 * max(1.0, alpha**2))
+    yield _check("casimir_scalar", worst_cas, 1e-10 * max(1.0, alpha**2))
+    yield _check("rotation_generator_commutators", worst_rot, 1e-10 * max(1.0, alpha))
 
     t2 = spin_operators(2, alpha)
     t3 = spin_operators(3, alpha)
@@ -337,21 +321,20 @@ def _suite_angular(seed: int, alpha: float, levels: int, dims) -> list[dict]:
         v = random_state(t.n, rng)
         ratios.append(check_rotation_identity(t, v, eps) / check_rotation_identity(t, v, eps / 2))
     dev = max(abs(r - 8.0) for r in ratios)
-    checks.append(_check("rotation_identity_cubic_ratio_dev", dev, 2.0))
+    yield _check("rotation_identity_cubic_ratio_dev", dev, 2.0)
 
     v3 = random_state(3, rng)
     r1 = check_frame_rotation_covariance(t3, v3, 0.1)
     r2 = check_frame_rotation_covariance(t3, v3, 0.05)
-    checks.append(_check("frame_covariance_quadratic_ratio_dev", abs(r1 / r2 - 4.0), 0.8))
+    yield _check("frame_covariance_quadratic_ratio_dev", abs(r1 / r2 - 4.0), 0.8)
 
     worst_comm = 0.0
     for n in (2, 3, 5, 8):
         null_dim, resid = commutant_scalar_residual(spin_operators(n, alpha))
         worst_comm = max(worst_comm, resid if null_dim == 1 else math.inf)
-    checks.append(_check("commutant_is_scalar", worst_comm, 1e-8))
+    yield _check("commutant_is_scalar", worst_comm, 1e-8)
 
-    checks.append(_check("full_turn_sign", worst_turn, 1e-10))
-    return checks
+    yield _check("full_turn_sign", worst_turn, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +350,8 @@ def _random_poly(rng) -> CanonicalPolynomial:
     return CanonicalPolynomial.from_terms(terms, 2)
 
 
-def _suite_poisson(seed: int, alpha: float, levels: int, dims) -> list[dict]:
+def _suite_poisson(seed: int, alpha: float, levels: int, dims) -> Iterator[dict]:
     rng = make_rng(seed)
-    checks = []
 
     exact_failures = 0
     for _ in range(40):
@@ -385,12 +367,12 @@ def _suite_poisson(seed: int, alpha: float, levels: int, dims) -> list[dict]:
         )
         if not jac.is_zero():
             exact_failures += 1
-    checks.append(_check("bracket_axioms_exact_failures", exact_failures, 0.0))
+    yield _check("bracket_axioms_exact_failures", exact_failures, 0.0)
 
     x = CanonicalPolynomial.coordinate("x", 0, 2)
     p2 = CanonicalPolynomial.coordinate("p", 1, 2)
     kron = poisson_bracket(x, p2)
-    checks.append(_check("canonical_pairs_kronecker", 0.0 if kron.is_zero() else 1.0, 0.0))
+    yield _check("canonical_pairs_kronecker", 0.0 if kron.is_zero() else 1.0, 0.0)
 
     rep = build_fock(levels, alpha)
     pairs = [
@@ -404,18 +386,15 @@ def _suite_poisson(seed: int, alpha: float, levels: int, dims) -> list[dict]:
     for fs, hs in pairs:
         rep_report = check_dirac_rule(parse_canonical(fs), parse_canonical(hs), rep)
         worst = max(worst, rep_report.residual / rep_report.scale)
-    checks.append(_check("dirac_rule_safe_block", worst, 1e-9))
+    yield _check("dirac_rule_safe_block", worst, 1e-9)
 
     ce = counterexample_report(1.0, rep)
-    checks.append(_check("counterexample_off_scalar", ce.off_scalar_residual, 1e-8))
-    checks.append(
-        _check(
-            "counterexample_gap_vs_oracle",
-            abs(ce.scalar - 3j * 1.0 * alpha**3),
-            1e-8 * max(1.0, alpha**3),
-        )
+    yield _check("counterexample_off_scalar", ce.off_scalar_residual, 1e-8)
+    yield _check(
+        "counterexample_gap_vs_oracle",
+        abs(ce.scalar - 3j * 1.0 * alpha**3),
+        1e-8 * max(1.0, alpha**3),
     )
-    return checks
 
 
 _SUITES = {
@@ -444,7 +423,7 @@ def run_suite(
     checks: list[dict] = []
     for name in names:
         try:
-            suite_checks = _SUITES[name](seed, alpha, levels, dims)
+            suite_checks = list(_SUITES[name](seed, alpha, levels, dims))
         except AvcpError as exc:
             suite_checks = [_error_check(f"{name}_suite", exc)]
         for c in suite_checks:

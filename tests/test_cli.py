@@ -341,7 +341,11 @@ def test_evolve_rejects_a_bad_alpha_or_endpoint_with_exit_one(tmp_path, flags, s
     )
     assert rc == 1
     assert out == ""
-    assert err.startswith("error: ScheduleGap: ") and "Traceback" not in err, err
+    if flags or "alpha" in schedule:  # the same ValueError line as every other command's bad alpha
+        alpha = float(flags[1]) if flags else schedule["alpha"]
+        assert err == f"error: ValueError: alpha must be finite and positive, got {alpha}\n"
+    else:
+        assert err.startswith("error: ScheduleGap: ") and "Traceback" not in err, err
 
 
 

@@ -538,7 +538,7 @@ def test_schedules_reject_an_alpha_that_is_not_finite_and_positive(alpha):
         lambda: HamiltonianSchedule.from_function(lambda t: h, 0.0, 1.0, alpha),
         lambda: HamiltonianSchedule.from_dict({**HamiltonianSchedule.constant(h, 0.0, 1.0).to_dict(), "alpha": alpha}),
     ):
-        with pytest.raises(ScheduleGap, match="alpha must be finite and positive"):
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
             build()
 
 

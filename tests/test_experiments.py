@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from avcp import experiments
-from avcp.errors import DimMismatch, NonSimpleExpression, StateSpaceTooLarge, UnboundVariable
+from avcp import evolution, experiments, expressions, operators
+from avcp.errors import DimMismatch, NonSimpleExpression, ScheduleGap, StateSpaceTooLarge, UnboundVariable
 from avcp.evolution import HamiltonianSchedule
 from avcp.experiments import (
     EvolutionWindow,
@@ -89,7 +89,7 @@ def test_plan_unbound_name():
 def test_group_override_must_keep_noncommuting_apart():
     sx, sy, _ = _pauli()
     state = random_state(2, make_rng(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="override groups 'A' and 'B' together but they do not commute"):
         ExperimentSpec(
             state,
             BindingSet({"A": sx, "B": sy}),
@@ -97,6 +97,21 @@ def test_group_override_must_keep_noncommuting_apart():
             "A + B",
             groups=[["A", "B"]],
         )
+
+
+def test_group_override_names_the_first_failing_pair_in_group_order(monkeypatch):
+    formed, commutator = [], expressions.commutator
+
+    def counting(a, b):
+        formed.append(1)
+        return commutator(a, b)
+
+    monkeypatch.setattr(expressions, "commutator", counting)
+    sx, sy, sz = _pauli()
+    bind = BindingSet({"A": sx, "B": sy, "C": sz})
+    with pytest.raises(ValueError, match="override groups 'C' and 'A' together"):
+        ExperimentSpec(random_state(2, make_rng(3)), bind, ["A", "B", "C"], "A + B + C", groups=[["C", "A", "B"]])
+    assert len(formed) == 1  # the scan stops at the first failing pair
 
 
 # --- exact enumeration ------------------------------------------------------------
@@ -228,6 +243,28 @@ def test_enumeration_budget_fails_before_any_evolution(monkeypatch, check):
     monkeypatch.setattr(experiments, "evolve", evolved)
     with pytest.raises(StateSpaceTooLarge):
         check(_over_budget_spec())
+
+
+@pytest.mark.parametrize("t1, t2", [(5.0, 0.5), (0.5, 5.0), (-1.0, 0.5)])
+def test_window_times_outside_the_schedule_fail_before_any_eigendecomposition(monkeypatch, t1, t2):
+    calls, eigh_stack = [], operators.eigh_stack
+
+    def counting(mats):
+        calls.append(len(mats))
+        return eigh_stack(mats)
+
+    monkeypatch.setattr(operators, "eigh_stack", counting)
+    monkeypatch.setattr(evolution, "eigh_stack", counting)
+    rng = make_rng(256)
+    h = random_hermitian(256, rng)
+    spec = {
+        **ExperimentSpec(random_state(256, rng), BindingSet({"A": h}), ["A"], "A").to_dict(),
+        "evolution": {"schedule": HamiltonianSchedule.constant(h, 0.0, 1.0).to_dict(), "t1": t1, "t2": t2},
+    }
+    bad = t1 if t1 != 0.5 else t2
+    with pytest.raises(ScheduleGap, match=rf"^\[0.0, {bad}\] not inside \[0.0, 1.0\]$"):
+        check_avcp(ExperimentSpec.from_dict(spec))
+    assert calls == []
 
 
 @pytest.mark.parametrize(

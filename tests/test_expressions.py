@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from avcp import expressions
 from avcp.errors import (
     CommutingInput,
     DomainError,
@@ -197,6 +198,32 @@ def test_noncommuting_product_not_simple():
     assert v.offending_pairs == (("A", "B"),)
 
 
+def test_noncommuting_pairs_keep_the_order_of_the_names():
+    sz = hermitian_from_matrix(SZ)
+    bind = BindingSet({"A": hermitian_from_matrix(SX), "B": hermitian_from_matrix(SY), "C": sz, "D": sz})
+    pairs = list(bind.noncommuting_pairs(["C", "A", "D", "B"]))
+    assert pairs == [("C", "A"), ("C", "B"), ("A", "D"), ("A", "B"), ("D", "B")]
+    assert list(bind.noncommuting_pairs(["C", "D"])) == []
+
+
+def test_every_name_is_bound_before_any_commutator_is_formed(monkeypatch):
+    formed, commutator = [], expressions.commutator
+
+    def counting(a, b):
+        formed.append(1)
+        return commutator(a, b)
+
+    monkeypatch.setattr(expressions, "commutator", counting)
+    bind = _pauli_bindings()
+    with pytest.raises(UnboundVariable, match="'Z'"):
+        bind.noncommuting_pairs(["A", "B", "Z"])
+    with pytest.raises(UnboundVariable, match="'Z'"):
+        classify_simple(parse("A*B*Z"), bind)
+    assert formed == []
+    assert classify_simple(parse("A*B + B*A^2"), bind).offending_pairs == (("A", "B"),)
+    assert len(formed) == 1  # each pair's commutator is formed once and cached
+
+
 def test_cross_term_makes_square_of_sum_not_simple():
     v = classify_simple(parse("(A+B)^2"), _pauli_bindings())
     assert not v.simple
@@ -347,6 +374,21 @@ def test_hermitized_groupings_match_closed_forms():
     flat = quantize_hermitized(parse("A^2*B"), bind)
     want_flat = (a @ a @ b + b @ a @ a) / 2
     assert np.allclose(flat.matrix, want_flat, atol=1e-14)
+
+
+def test_hermitized_products_fold_from_the_right():
+    rng = make_rng(41)
+    names = ("A", "B", "C")
+    ops = [random_hermitian(3, rng).matrix for _ in names]
+    bind = BindingSet({n: hermitian_from_matrix(m) for n, m in zip(names, ops)})
+
+    def sym(x, y):
+        return (x @ y + y @ x) / 2
+
+    got = quantize_hermitized(parse("A*B*C"), bind).matrix
+    a, b, c = ops
+    assert max_norm(got - sym(a, sym(b, c))) <= 1e-12
+    assert max_norm(got - sym(sym(a, b), c)) > 1e-3
 
 
 def test_demonstrate_inconsistency_pauli():
