@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .angular import spin_operators
 from .errors import NonSimpleInput, UnknownDemo
 from .evolution import require_alpha
 from .experiments import ExperimentSpec, run_trials
@@ -78,9 +79,8 @@ def demo_a_plus_b(seed: int = 0, trials: int = 20000, alpha: float = 1.0):
     outcomes of separate-copy Sx and Sz measurements only ever produces
     -alpha, 0, +alpha.  On average the two agree for every preparation.
     """
-    half = alpha / 2.0
-    sx = HermitianOperator(half * np.array([[0, 1], [1, 0]], dtype=complex))
-    sz = HermitianOperator(half * np.array([[1, 0], [0, -1]], dtype=complex))
+    spin = spin_operators(2, alpha)
+    sx, sz = spin.lx, spin.lz
     total = HermitianOperator(sx.matrix + sz.matrix)
     state = random_state(2, make_rng(seed))
     bindings = BindingSet({"Sx": sx, "Sz": sz, "C": total})

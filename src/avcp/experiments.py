@@ -79,6 +79,8 @@ class EvolutionWindow:
     steps: int = 128
 
     def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
         for t in (self.t1, self.t2):  # a time outside the schedule fails here, before any evolution
             self.schedule.restrict(self.schedule.t_start, t)
 
@@ -90,8 +92,11 @@ class EvolutionWindow:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvolutionWindow":
+        steps = d.get("steps", 128)
+        if isinstance(steps, bool) or not float(steps).is_integer():
+            raise ValueError(f"steps must be a whole number, got {steps!r}")
         sched = HamiltonianSchedule.from_dict(d["schedule"])
-        return cls(sched, float(d["t1"]), float(d["t2"]), int(d.get("steps", 128)))
+        return cls(sched, float(d["t1"]), float(d["t2"]), int(steps))
 
     def to_dict(self) -> dict:
         return {

@@ -23,7 +23,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -624,21 +624,20 @@ def quantize(e, bindings: BindingSet) -> HermitianOperator:
         for name, k in m.var_powers:
             acc = acc @ np.linalg.matrix_power(bindings.embedded(name).matrix, k)
         for f, k in m.func_powers:
-            op = _quantize_func_atom(f, bindings)
+            op = _spectral(f.name, f.arg.variable_names(), lambda: quantize(f.arg, bindings))
             acc = acc @ np.linalg.matrix_power(op.matrix, k)
         total += acc
     return hermitian_from_matrix((total + total.conj().T) / 2)
 
 
-def _quantize_func_atom(atom: FuncAtom, bindings: BindingSet) -> HermitianOperator:
-    arg_names = atom.arg.variable_names()
+def _spectral(name: str, arg_names: frozenset[str], inner: Callable[[], HermitianOperator]) -> HermitianOperator:
+    """Op(name(arg)) = name(Op(arg)); `inner()` builds Op(arg) once arg is known to name one variable at most."""
     if len(arg_names) > 1:
         raise UnsupportedExpression(
-            f"{atom.name}() argument mixes variables {sorted(arg_names)}; "
+            f"{name}() argument mixes variables {sorted(arg_names)}; "
             "the spectral calculus applies to one operator at a time"
         )
-    inner = quantize(atom.arg, bindings)
-    return apply_spectral_function(inner, _FUNCTIONS[atom.name][0])
+    return apply_spectral_function(inner(), _FUNCTIONS[name][0])
 
 
 def quantize_hermitized(e, bindings: BindingSet) -> HermitianOperator:
@@ -671,13 +670,9 @@ def _hermitized_matrix(e, bindings: BindingSet) -> np.ndarray:
     if isinstance(e, Pow):
         return np.linalg.matrix_power(_hermitized_matrix(e.base, bindings), e.exponent)
     if isinstance(e, Func):
-        arg_names = variables(e.arg)
-        if len(arg_names) > 1:
-            raise UnsupportedExpression(
-                f"{e.name}() argument mixes variables {sorted(arg_names)}"
-            )
-        inner = hermitian_from_matrix(_hermitized_matrix(e.arg, bindings))
-        return apply_spectral_function(inner, _FUNCTIONS[e.name][0]).matrix
+        return _spectral(
+            e.name, variables(e.arg), lambda: hermitian_from_matrix(_hermitized_matrix(e.arg, bindings))
+        ).matrix
     raise TypeError(f"not an expression node: {e!r}")
 
 

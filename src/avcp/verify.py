@@ -61,8 +61,6 @@ from .poisson import (
     poisson_bracket,
 )
 
-SUITE_NAMES = ("operators", "avcp", "evolution", "kinematics", "angular", "poisson")
-
 
 def _check(name: str, value: float, threshold: float, op: str = "<=") -> dict:
     value = float(value)
@@ -405,6 +403,7 @@ _SUITES = {
     "angular": _suite_angular,
     "poisson": _suite_poisson,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(

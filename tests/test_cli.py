@@ -414,6 +414,24 @@ def test_experiment_takes_alpha_from_the_command_line_when_the_schedule_has_none
     assert stdout({"alpha": 2.0, "pieces": pieces}, "--alpha", "1") == flag2
 
 
+def test_experiment_with_zero_steps_exits_one_with_the_steps_error(tmp_path, capsys):
+    spec = {
+        "state": {"dim": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]},
+        "bindings": {"A": matrix_to_dict(SX)},
+        "implementation": ["A"],
+        "f": "A",
+        "evolution": {"schedule": [{"t0": 0.0, "t1": 2.0, "operator": matrix_to_dict(SY)}],
+                      "t1": 1.0, "t2": 2.0, "steps": 0},
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    rc = main(["experiment", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: steps must be >= 1\n"
+
+
 def test_evolve_bytes_do_not_depend_on_blas_threads(tmp_path):
     rng = make_rng(65)
     state_path = tmp_path / "state.json"

@@ -267,6 +267,53 @@ def test_window_times_outside_the_schedule_fail_before_any_eigendecomposition(mo
     assert calls == []
 
 
+def _counted_eigh_stack(monkeypatch):
+    calls, eigh_stack = [], operators.eigh_stack
+
+    def counting(mats):
+        calls.append(len(mats))
+        return eigh_stack(mats)
+
+    monkeypatch.setattr(operators, "eigh_stack", counting)
+    monkeypatch.setattr(evolution, "eigh_stack", counting)
+    return calls
+
+
+def _window_spec(**window):
+    rng = make_rng(257)
+    h = random_hermitian(4, rng)
+    return {
+        **ExperimentSpec(random_state(4, rng), BindingSet({"A": h}), ["A"], "A").to_dict(),
+        "evolution": {"schedule": HamiltonianSchedule.constant(h, 0.0, 1.0).to_dict(), "t1": 0.5, "t2": 1.0,
+                      **window},
+    }
+
+
+@pytest.mark.parametrize("steps", [0, -5])
+def test_window_steps_below_one_fail_before_any_eigendecomposition(monkeypatch, steps):
+    calls = _counted_eigh_stack(monkeypatch)
+    with pytest.raises(ValueError, match=r"^steps must be >= 1$"):
+        check_avcp(ExperimentSpec.from_dict(_window_spec(steps=steps)))
+    assert calls == []
+
+
+def test_window_at_the_schedule_start_still_rejects_zero_steps():
+    sched = HamiltonianSchedule.constant(random_hermitian(3, make_rng(258)), 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"^steps must be >= 1$"):
+        EvolutionWindow(sched, 0.0, 0.0, steps=0)
+
+
+def test_window_steps_read_as_a_whole_float():
+    window = ExperimentSpec.from_dict(_window_spec(steps=128.0)).evolution
+    assert window.steps == 128 and type(window.steps) is int
+
+
+@pytest.mark.parametrize("steps", [2.7, True, False], ids=["fraction", "true", "false"])
+def test_window_steps_that_are_not_a_whole_number_are_rejected(steps):
+    with pytest.raises(ValueError, match=r"^steps must be a whole number, got "):
+        ExperimentSpec.from_dict(_window_spec(steps=steps))
+
+
 @pytest.mark.parametrize(
     "check", [check_avcp, lambda spec: run_trials(spec, 10, 0)], ids=["check_avcp", "run_trials"]
 )

@@ -318,6 +318,17 @@ def test_multivariate_function_argument_rejected():
         quantize(parse("cos(A*B)"), b)
 
 
+def test_quantize_and_quantize_hermitized_reject_a_mixed_argument_with_one_message():
+    # commuting, so that quantize gets past the simplicity check to the function argument
+    b = BindingSet({"A": hermitian_from_matrix(SZ), "B": hermitian_from_matrix(np.diag([2.0, -1.0]))})
+    with pytest.raises(UnsupportedExpression) as plain:
+        quantize(parse("cos(A + B)"), b)
+    with pytest.raises(UnsupportedExpression) as hermitized:
+        quantize_hermitized(parse("cos(A + B)"), b)
+    assert str(plain.value) == str(hermitized.value)
+    assert str(plain.value).endswith("; the spectral calculus applies to one operator at a time")
+
+
 def test_quantize_sqrt_domain_error():
     h = hermitian_from_matrix(np.diag([-2.0, 1.0]))
     with pytest.raises(DomainError):
