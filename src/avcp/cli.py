@@ -23,7 +23,7 @@ from . import expressions as ex
 from . import verify as verify_mod
 from .errors import AvcpError, NonSimpleExpression, NonSimpleInput
 from .evolution import HamiltonianSchedule, evolve
-from .experiments import ExperimentSpec, run_trials
+from .experiments import ExperimentSpec, run_trials, whole_number
 from .expressions import BindingSet
 from .kinematics import build_fock
 from .operators import operator_to_dict, state_from_dict, state_to_dict
@@ -62,12 +62,6 @@ def _emit(payload, fmt: str, out: str | None, text_renderer=None) -> None:
 def _load_json(path: str):
     with open(path) as fh:
         return json.load(fh)
-
-
-def _schedule_with_alpha(raw, args):
-    """A schedule's JSON with `alpha` filled in from the command line unless it sets its own."""
-    alpha = _alpha(args)
-    return {"alpha": alpha, "pieces": raw} if isinstance(raw, list) else {"alpha": alpha, **raw}
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
@@ -159,11 +153,10 @@ def _quantize(args) -> int:
 
 def _experiment(args) -> int:
     raw = _load_json(args.spec)
-    if isinstance(raw, dict) and raw.get("evolution"):
-        raw["evolution"]["schedule"] = _schedule_with_alpha(raw["evolution"]["schedule"], args)
-    spec = ExperimentSpec.from_dict(raw)
-    n = int(raw.get("n_trials", args.trials))
-    seed = int(raw.get("seed", args.seed))
+    alpha = _alpha(args) if isinstance(raw, dict) and raw.get("evolution") else 1.0  # only a window reads alpha
+    spec = ExperimentSpec.from_dict(raw, alpha)
+    n = whole_number(raw.get("n_trials", args.trials), "n_trials")
+    seed = whole_number(raw.get("seed", args.seed), "seed")
     report = run_trials(spec, n, seed)
     _emit(report.to_dict(), args.format, args.out, text_renderer=lambda d: report.to_text())
     return 0
@@ -186,7 +179,7 @@ def _demo(args) -> int:
 
 def _evolve(args) -> int:
     state = state_from_dict(_load_json(args.state))
-    sched = HamiltonianSchedule.from_dict(_schedule_with_alpha(_load_json(args.schedule), args))
+    sched = HamiltonianSchedule.from_dict(_load_json(args.schedule), _alpha(args))
     final = evolve(state, sched, args.steps)
     _emit(state_to_dict(final), args.format, args.out)
     return 0

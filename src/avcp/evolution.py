@@ -35,8 +35,8 @@ _BLOCK_SLICES, _BLOCK_ENTRIES = 256, 2**20
 
 
 def require_alpha(alpha: float) -> None:
-    """Raise ValueError unless the evolution constant alpha is finite and positive."""
-    if not (math.isfinite(alpha) and alpha > 0):
+    """Raise ValueError unless the evolution constant alpha is finite and positive (a bool is not a number)."""
+    if isinstance(alpha, bool) or not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
 
 
@@ -119,13 +119,13 @@ class HamiltonianSchedule:
         return HamiltonianSchedule.piecewise(kept, self.alpha)
 
     @classmethod
-    def from_dict(cls, d) -> "HamiltonianSchedule":
-        """JSON form: list of pieces {t0, t1, operator}, or a wrapper with alpha."""
-        alpha = 1.0
+    def from_dict(cls, d, alpha: float = 1.0) -> "HamiltonianSchedule":
+        """JSON form: list of pieces {t0, t1, operator}, or a wrapper with alpha; `alpha` if it sets none."""
         pieces = d
         if isinstance(d, dict):
-            alpha = float(d.get("alpha", 1.0))
+            alpha = d.get("alpha", alpha)
             pieces = d["pieces"]
+        require_alpha(alpha if isinstance(alpha, bool) else float(alpha))  # before any piece is decoded
         items = [(float(p["t0"]), float(p["t1"]), operator_from_dict(p["operator"])) for p in pieces]
         return cls.piecewise(items, alpha)
 

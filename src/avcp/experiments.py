@@ -64,6 +64,13 @@ def plan_setups(names: Sequence[str], bindings: BindingSet) -> SetupPlan:
     return SetupPlan(tuple(tuple(g) for g in groups))
 
 
+def whole_number(value, name: str) -> int:
+    """A spec's count or seed as an int: 128 and 128.0 read as 128; 2.7, true and Infinity raise ValueError."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class EvolutionWindow:
     """Shared background between preparation and the two measurement times.
@@ -86,17 +93,13 @@ class EvolutionWindow:
 
     def state_at(self, v0: QuantumState, t: float) -> QuantumState:
         sub = self.schedule.restrict(self.schedule.t_start, t)
-        if sub.t_end == sub.t_start:
-            return v0
         return evolve(v0, sub, self.steps)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "EvolutionWindow":
-        steps = d.get("steps", 128)
-        if isinstance(steps, bool) or not float(steps).is_integer():
-            raise ValueError(f"steps must be a whole number, got {steps!r}")
-        sched = HamiltonianSchedule.from_dict(d["schedule"])
-        return cls(sched, float(d["t1"]), float(d["t2"]), int(steps))
+    def from_dict(cls, d: dict, alpha: float = 1.0) -> "EvolutionWindow":
+        schedule = d["schedule"]  # read first, so that a window that is not an object is a TypeError
+        steps = whole_number(d.get("steps", 128), "steps")
+        return cls(HamiltonianSchedule.from_dict(schedule, alpha), float(d["t1"]), float(d["t2"]), steps)
 
     def to_dict(self) -> dict:
         return {
@@ -176,9 +179,9 @@ class ExperimentSpec:
         return ex.quantize(self.f, self.bindings)
 
     # JSON schema: {state, bindings, implementation, target?, f, n_trials,
-    # seed, evolution?, groups?}
+    # seed, evolution?, groups?}; `alpha` is for an evolution schedule without its own
     @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentSpec":
+    def from_dict(cls, d: dict, alpha: float = 1.0) -> "ExperimentSpec":
         return cls(
             initial_state=state_from_dict(d["state"]),
             bindings=BindingSet.from_dict(d["bindings"]),
@@ -186,7 +189,7 @@ class ExperimentSpec:
             f=d["f"],
             target=d.get("target"),
             evolution=(
-                EvolutionWindow.from_dict(d["evolution"]) if d.get("evolution") else None
+                EvolutionWindow.from_dict(d["evolution"], alpha) if d.get("evolution") else None
             ),
             groups=d.get("groups"),
         )
@@ -365,9 +368,10 @@ def run_trials(spec: ExperimentSpec, n: int, seed: int, keep_trials: bool = Fals
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    rng = make_rng(seed)  # a bad seed fails here, before any exact work
     target_op, exact = _exact(spec)
     v1, v2 = spec.state_at_t1().amplitudes, spec.state_at_t2().amplitudes
-    uniforms = make_rng(seed).random((n, len(spec.plan.slots()) + 1))
+    uniforms = rng.random((n, len(spec.plan.slots()) + 1))
     (target_vals,) = _sample_copy([target_op.spectrum], v2, [uniforms[:, -1]])
 
     columns = iter(uniforms.T)

@@ -661,12 +661,8 @@ def _hermitized_matrix(e, bindings: BindingSet) -> np.ndarray:
     if isinstance(e, Add):
         return sum(_hermitized_matrix(t, bindings) for t in e.terms)
     if isinstance(e, Mul):
-        if len(e.factors) == 1:
-            return _hermitized_matrix(e.factors[0], bindings)
-        rest = e.factors[1] if len(e.factors) == 2 else Mul(e.factors[1:])
-        x = _hermitized_matrix(e.factors[0], bindings)
-        y = _hermitized_matrix(rest, bindings)
-        return (x @ y + y @ x) / 2
+        *rest, last = (_hermitized_matrix(factor, bindings) for factor in e.factors)
+        return functools.reduce(lambda y, x: (x @ y + y @ x) / 2, reversed(rest), last)
     if isinstance(e, Pow):
         return np.linalg.matrix_power(_hermitized_matrix(e.base, bindings), e.exponent)
     if isinstance(e, Func):

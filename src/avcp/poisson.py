@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from . import expressions as ex
-from .errors import DimTooSmall, NonSimpleInput, UnboundVariable, UnsupportedExpression
+from .errors import DimTooSmall, NonSimpleExpression, NonSimpleInput, UnboundVariable, UnsupportedExpression
 from .expressions import BindingSet
 from .kinematics import FockTruncation
 from .operators import commutator, max_norm
@@ -228,16 +228,16 @@ def check_dirac_rule(
         raise ValueError("operator checks run on a single canonical pair")
     bracket = poisson_bracket(f, h)
     bindings = BindingSet({"x": rep.x_op, "p": rep.p_op})
-    forms = [ex.expand_polynomial(poly.to_expr()) for poly in (f, h, bracket)]
-    failures = {}
-    for label, form in zip(("f", "h", "{f,h}"), forms):
-        verdict = ex.classify_simple(form, bindings)
-        if not verdict.simple:
-            failures[label] = verdict.offending_pairs
+    ops, failures = [], {}
+    for label, poly in zip(("f", "h", "{f,h}"), (f, h, bracket)):
+        try:
+            ops.append(ex.quantize(poly.to_expr(), bindings))
+        except NonSimpleExpression as exc:
+            failures[label] = exc.offending_pairs
     if failures:
         raise NonSimpleInput(failures)
 
-    f_op, h_op, pb_op = (ex.quantize(form, bindings) for form in forms)
+    f_op, h_op, pb_op = ops
     degree = f.total_degree() + h.total_degree()
     safe = rep.n_levels - degree
     if safe < 1:

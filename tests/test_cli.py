@@ -432,6 +432,55 @@ def test_experiment_with_zero_steps_exits_one_with_the_steps_error(tmp_path, cap
     assert captured.err == "error: ValueError: steps must be >= 1\n"
 
 
+def _experiment_run(tmp_path, capsys, **fields):
+    spec = {
+        "state": {"dim": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]},
+        "bindings": {"A": matrix_to_dict(SX)},
+        "implementation": ["A"],
+        "f": "A",
+        **fields,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    rc = main(["experiment", str(path)])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n_trials": 2.7}, "n_trials must be a whole number, got 2.7"),
+        ({"seed": True}, "seed must be a whole number, got True"),
+        ({"seed": 1.5}, "seed must be a whole number, got 1.5"),
+    ],
+    ids=["fractional_trials", "bool_seed", "fractional_seed"],
+)
+def test_experiment_trials_and_seed_must_be_whole_numbers(tmp_path, capsys, fields, message):
+    assert _experiment_run(tmp_path, capsys, **fields) == (1, "", f"error: ValueError: {message}\n")
+
+
+def test_experiment_reads_whole_float_trials_and_seed_as_integers(tmp_path, capsys):
+    rc, out, err = _experiment_run(tmp_path, capsys, n_trials=100.0, seed=4.0)
+    assert rc == 0 and err == ""
+    assert '"n_trials": 100,' in out and '"seed": 4,' in out
+    assert out == _experiment_run(tmp_path, capsys, n_trials=100, seed=4)[1]
+
+
+@pytest.mark.parametrize("command", ["evolve", "experiment"])
+def test_a_bool_schedule_alpha_exits_one_with_the_alpha_line(tmp_path, capsys, command):
+    schedule = {"alpha": True, "pieces": [{"t0": 0.0, "t1": 2.0, "operator": matrix_to_dict(SY)}]}
+    if command == "evolve":
+        (tmp_path / "state.json").write_text(json.dumps({"dim": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]}))
+        (tmp_path / "sched.json").write_text(json.dumps(schedule))
+        rc = main(["evolve", "--state", str(tmp_path / "state.json"), "--schedule", str(tmp_path / "sched.json")])
+        captured = capsys.readouterr()
+        got = rc, captured.out, captured.err
+    else:
+        got = _experiment_run(tmp_path, capsys, evolution={"schedule": schedule, "t1": 1.0, "t2": 2.0})
+    assert got == (1, "", "error: ValueError: alpha must be finite and positive, got True\n")
+
+
 def test_evolve_bytes_do_not_depend_on_blas_threads(tmp_path):
     rng = make_rng(65)
     state_path = tmp_path / "state.json"

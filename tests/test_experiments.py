@@ -297,6 +297,14 @@ def test_window_steps_below_one_fail_before_any_eigendecomposition(monkeypatch, 
     assert calls == []
 
 
+def test_a_negative_seed_fails_before_any_eigendecomposition(monkeypatch):
+    calls = _counted_eigh_stack(monkeypatch)
+    spec = ExperimentSpec.from_dict(_window_spec())
+    with pytest.raises(ValueError, match=r"^expected non-negative integer$"):
+        run_trials(spec, 10, -1)
+    assert calls == []
+
+
 def test_window_at_the_schedule_start_still_rejects_zero_steps():
     sched = HamiltonianSchedule.constant(random_hermitian(3, make_rng(258)), 0.0, 1.0)
     with pytest.raises(ValueError, match=r"^steps must be >= 1$"):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from avcp import expressions
 from avcp.errors import DimTooSmall, NonSimpleInput, UnboundVariable, UnsupportedExpression
 from avcp.kinematics import build_fock
 from avcp.operators import make_rng
@@ -240,6 +241,26 @@ def test_dirac_rule_rejects_nonsimple_input_polynomial():
     with pytest.raises(NonSimpleInput) as err:
         check_dirac_rule(parse_canonical("x*p"), parse_canonical("x"), rep)
     assert "f" in err.value.failures
+
+
+@pytest.mark.parametrize(
+    "f, h, failures", [("x^2", "p", None), ("x^3", "p^3", {"{f,h}": (("p", "x"),)})], ids=["simple", "x3_p3"]
+)
+def test_dirac_rule_classifies_each_of_f_h_and_the_bracket_once(monkeypatch, f, h, failures):
+    calls, classify_simple = [], expressions.classify_simple
+
+    def counting(*args):
+        calls.append(args)
+        return classify_simple(*args)
+
+    monkeypatch.setattr(expressions, "classify_simple", counting)
+    if failures is None:
+        assert check_dirac_rule(parse_canonical(f), parse_canonical(h), build_fock(32)).passed
+    else:
+        with pytest.raises(NonSimpleInput) as err:
+            check_dirac_rule(parse_canonical(f), parse_canonical(h), build_fock(32))
+        assert err.value.failures == failures
+    assert len(calls) == 3
 
 
 def test_dirac_rule_residual_improves_with_levels():
