@@ -554,11 +554,15 @@ class BindingSet:
     # optionally wrapped as {"bindings": ..., "factor_dims": [...]}.
     @classmethod
     def from_dict(cls, d: dict) -> "BindingSet":
+        if not isinstance(d, dict):
+            raise TypeError(f"a bindings document must be a JSON object, got {type(d).__name__}")
         factor_dims = None
         entries = d
         if "bindings" in d and not ("re" in d or "operator" in d):
             entries = d["bindings"]
             factor_dims = d.get("factor_dims")
+            if not isinstance(entries, dict):
+                raise TypeError(f"a wrapped \"bindings\" value must be a JSON object, got {type(entries).__name__}")
         items = []
         for name, value in entries.items():
             op = operator_from_dict(value if "re" in value else value["operator"])

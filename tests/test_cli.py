@@ -711,3 +711,27 @@ def test_a_zero_alpha_variable_is_rejected_by_poisson_and_demo(command, monkeypa
     monkeypatch.setenv("AVCP_ALPHA", "0")
     assert main(command) == 1
     assert capsys.readouterr().err == "error: ValueError: alpha must be finite and positive, got 0.0\n"
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ([1], "a bindings document must be a JSON object, got list"),
+        ("abc", "a bindings document must be a JSON object, got str"),
+        ({"bindings": [1]}, 'a wrapped "bindings" value must be a JSON object, got list'),
+    ],
+)
+@pytest.mark.parametrize("command", ["quantize", "experiment", "verify"])
+def test_a_bindings_value_that_is_not_an_object_is_a_type_error_line(tmp_path, capsys, command, document, message):
+    path = tmp_path / "input.json"
+    if command == "experiment":
+        spec = {"state": {"dim": 2, "re": [1, 0]}, "bindings": document, "implementation": ["A"], "f": "A"}
+        path.write_text(json.dumps(spec))
+        argv = ["experiment", str(path)]
+    else:
+        path.write_text(json.dumps(document))
+        argv = ["quantize", "A", "--bindings", str(path)] if command == "quantize" else [
+            "verify", "operators", "--bindings", str(path)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: TypeError: {message}\n")

@@ -85,6 +85,11 @@ CORPUS = (
     "verify nosuch",
     "verify angular --dims 5..3",
     "demo nosuch",
+    "quantize A --bindings list.json",
+    "quantize A --bindings string.json",
+    "quantize A --bindings wrapped_list.json",
+    "experiment list_bindings.json",
+    "verify avcp --bindings wrapped_list.json",
 )
 
 
@@ -167,6 +172,10 @@ def _write_inputs(folder: Path) -> None:
     write("unbound_f.json", spec(3, small, "A + C", 100))
     write("over_budget.json", spec(101, {k: hermitian(101) for k in "ABC"}, "A + B + C", 100))
     write("not_json.json", '{"state": ')
+    write("list.json", [1])
+    write("string.json", "abc")
+    write("wrapped_list.json", {"bindings": [1]})
+    write("list_bindings.json", {**spec(3, small, "A + B", 100), "bindings": [1]})
 
 
 def _run(line: str) -> tuple[int, str, str]:
