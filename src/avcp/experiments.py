@@ -8,13 +8,14 @@ while non-commuting measurements go on separate copies.  The target
 measurement always gets its own copy.
 
 This module plans those set-ups, computes the exact expectation of `f` by
-enumerating outcome sequences, estimates it by seeded Monte Carlo, and
+enumerating outcome trees, estimates it by seeded Monte Carlo down them, and
 renders a verdict comparing the target operator's expectation against the
 enumerated value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Sequence
@@ -173,6 +174,12 @@ class ExperimentSpec:
             self._evolved[t] = self.evolution.state_at(self.initial_state, t)
         return self._evolved[t]
 
+    @functools.cached_property
+    def _trees(self) -> list:
+        """Each copy's `_outcome_tree` at t1, built once per spec for enumeration and sampling alike."""
+        spectra = ([self.bindings.embedded(n).spectrum for n in g] for g in self.plan.groups)
+        return [_outcome_tree(group, self.state_at_t1()) for group in spectra]
+
     def target_operator(self):
         if self.target is not None:
             return self.bindings.embedded(self.target)
@@ -209,23 +216,24 @@ class ExperimentSpec:
         return out
 
 
-def _group_branches(group: Sequence[str], bindings: BindingSet, state: QuantumState):
-    """All outcome sequences of one copy, as arrays: (probabilities, {name: values}).
+def _outcome_tree(spectra, state: QuantumState):
+    """All outcome sequences of one copy: (probabilities, [values per measurement], levels).
 
-    Measurements are applied in declaration order with collapse, so the
-    probability of a branch is the product of conditional Born probabilities.
+    Measurements are applied in order with collapse, so the probability of a branch is the product
+    of conditional Born probabilities.  Level j is measurement j's (weights, group_values), a row per
+    node, with weights <= _BRANCH_PRUNE zeroed; its kept branches, row-major, are level j + 1's nodes.
     """
-    nodes, probs, values = state.amplitudes[None, :], np.ones(1), {}
-    for j, name in enumerate(group):
-        spectrum = bindings.embedded(name).spectrum
+    nodes, probs, values, levels = state.amplitudes[None, :], np.ones(1), [], []
+    for j, spectrum in enumerate(spectra):
         weights, children = born_split(spectrum, nodes)
-        rows, kids = np.nonzero(weights > _BRANCH_PRUNE)
+        weights = np.where(weights > _BRANCH_PRUNE, weights, 0.0)
+        rows, kids = np.nonzero(weights)
         probs = probs[rows] * weights[rows, kids]
-        values = {k: v[rows] for k, v in values.items()}
-        values[name] = spectrum.group_values[kids]
-        if j + 1 < len(group):
+        values = [v[rows] for v in values] + [spectrum.group_values[kids]]
+        levels.append((weights, spectrum.group_values))
+        if j + 1 < len(spectra):
             nodes = children(rows, kids)
-    return probs, values
+    return probs, values, levels
 
 
 def enumerate_expectation(spec: ExperimentSpec) -> float:
@@ -241,14 +249,13 @@ def enumerate_expectation(spec: ExperimentSpec) -> float:
             budget *= len(spec.bindings.embedded(name).spectrum.outcome_groups)
         if budget > ENUMERATION_BUDGET:
             raise StateSpaceTooLarge(f"more than {ENUMERATION_BUDGET} outcome tuples")
-    v1 = spec.state_at_t1()
-    per_group = [_group_branches(g, spec.bindings, v1) for g in spec.plan.groups]
+    per_group = spec._trees
     values: dict[str, np.ndarray] = {}
-    for g, (_, vals) in enumerate(per_group):
+    for g, (group, (_, vals, _)) in enumerate(zip(spec.plan.groups, per_group)):
         shape = (1,) * g + (-1,) + (1,) * (len(per_group) - g - 1)
-        values.update((name, v.reshape(shape)) for name, v in vals.items())
-    total = np.broadcast_to(ex.evaluate(spec.f, values), tuple(len(p) for p, _ in per_group))
-    for probs, _ in reversed(per_group):
+        values.update((name, v.reshape(shape)) for name, v in zip(group, vals))
+    total = np.broadcast_to(ex.evaluate(spec.f, values), tuple(len(p) for p, _, _ in per_group))
+    for probs, _, _ in reversed(per_group):
         total = total @ probs
     return float(total)
 
@@ -334,24 +341,17 @@ class ExperimentReport:
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
 
-def _sample_copy(spectra, state: np.ndarray, columns) -> list[np.ndarray]:
-    """Per-trial outcome values of each measurement on one copy.
+def _draw(levels, columns) -> list[np.ndarray]:
+    """Per-trial outcome values of each measurement on one copy, drawn down its `_outcome_tree` levels.
 
-    Each trial walks the copy's outcome tree, carrying the index of its node;
-    measurement j takes the next uniform column from `columns`.  Only
-    children some trial reached are built, so nodes never outnumber trials.
-    Per slot: O(nodes*(d^2 + G) + n) expected time and O(n + nodes*(d + G)) memory.
+    Measurement j draws each trial's group from its node's weight row with the next column of `columns`,
+    and the trial moves on to the rank of its (node, group) among the kept branches: O(nodes*G + n) per slot.
     """
-    nodes, at, out = state[None, :], 0, []
-    for j, (spectrum, u) in enumerate(zip(spectra, columns)):
-        weights, children = born_split(spectrum, nodes)
+    at, out = 0, []
+    for (weights, group_values), u in zip(levels, columns):
         idx = inverse_cdf(weights, at, u)
-        out.append(spectrum.group_values[idx])
-        if j + 1 < len(spectra):  # np.unique(branch, return_inverse=True), by counting instead of sorting
-            branch = at * weights.shape[1] + idx
-            seen = np.bincount(branch, minlength=weights.size) > 0
-            reached, at = np.flatnonzero(seen), (np.cumsum(seen) - 1)[branch]
-            nodes = children(*np.divmod(reached, weights.shape[1]))
+        out.append(group_values[idx])
+        at = (np.cumsum(weights > 0) - 1)[at * weights.shape[1] + idx]
     return out
 
 
@@ -363,22 +363,21 @@ def run_trials(spec: ExperimentSpec, n: int, seed: int, keep_trials: bool = Fals
     outcome of a trial is a function of (seed, trial index) alone and the
     report does not depend on execution order.  The exact values come first,
     so a non-simple `f` or too many outcome tuples fail before any trial.
-    Sampling each copy's outcome tree costs O(nodes*(d^2 + G) + n) expected
-    time and O(n + nodes*(d + G)) memory per slot, with nodes <= min(n, branches).
+    Trials walk the outcome trees the enumeration built, at O(nodes*G + n)
+    expected time and O(n + nodes*G) memory per slot.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = make_rng(seed)  # a bad seed fails here, before any exact work
     target_op, exact = _exact(spec)
-    v1, v2 = spec.state_at_t1().amplitudes, spec.state_at_t2().amplitudes
     uniforms = rng.random((n, len(spec.plan.slots()) + 1))
-    (target_vals,) = _sample_copy([target_op.spectrum], v2, [uniforms[:, -1]])
+    _, _, target_levels = _outcome_tree([target_op.spectrum], spec.state_at_t2())
+    (target_vals,) = _draw(target_levels, [uniforms[:, -1]])
 
     columns = iter(uniforms.T)
     values: dict[str, np.ndarray] = {}
-    for group in spec.plan.groups:
-        spectra = [spec.bindings.embedded(name).spectrum for name in group]
-        values.update(zip(group, _sample_copy(spectra, v1, columns)))
+    for group, (_, _, levels) in zip(spec.plan.groups, spec._trees):
+        values.update(zip(group, _draw(levels, columns)))
 
     f_vals = np.asarray(ex.evaluate(spec.f, values), dtype=float)
     if f_vals.ndim == 0:
