@@ -132,7 +132,7 @@ def main(argv=None) -> int:
     except NonSimpleInput as exc:
         failures = {k: [list(p) for p in v] for k, v in exc.failures.items()}
         return _non_simple(args, exc, "input", "failures", failures)
-    except (AvcpError, OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (AvcpError, OSError, KeyError, ValueError, TypeError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
 

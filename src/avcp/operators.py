@@ -281,8 +281,6 @@ def eigh_stack(a: np.ndarray):
 
 def _runs(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
     """(start, end) of each run of `values` whose adjacent gaps stay within `tol`."""
-    if not values.size:
-        return []
     cuts = (np.flatnonzero(np.diff(values) > tol) + 1).tolist()
     return list(zip([0, *cuts], [*cuts, values.size]))
 
