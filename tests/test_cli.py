@@ -735,3 +735,26 @@ def test_a_bindings_value_that_is_not_an_object_is_a_type_error_line(tmp_path, c
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: TypeError: {message}\n")
+
+
+def test_out_writes_the_bytes_stdout_would_get_and_prints_nothing(tmp_path, capsys):
+    assert main(["verify", "angular", "--seed", "3", "--format", "text"]) == 0
+    stdout = capsys.readouterr().out
+    path = tmp_path / "report.txt"
+    assert main(["verify", "angular", "--seed", "3", "--format", "text", "--out", str(path)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert path.read_text() == stdout
+
+
+def test_a_descending_dimension_range_is_an_error_line(capsys):
+    assert main(["verify", "angular", "--dims", "5..3"]) == 1
+    assert capsys.readouterr() == ("", "error: ValueError: bad dimension range '5..3'\n")
+
+
+def test_too_few_levels_is_an_error_row_in_the_text_report(capsys):
+    assert main(["verify", "poisson", "--levels", "8", "--format", "text"]) == 3
+    out, err = capsys.readouterr()
+    assert err == ""
+    row = "FAIL  poisson_suite   error DimTooSmall: need at least 16 levels for a meaningful sub-block"
+    assert row in out.splitlines()
+    assert out.endswith("\nFAILED\n")

@@ -601,3 +601,58 @@ def test_spec_json_with_groups_override():
     spec = ExperimentSpec.from_dict(d)
     assert spec.plan.groups == (("A1",), ("A2",))
     assert enumerate_expectation(spec) == pytest.approx(expectation(op, state) ** 2, abs=1e-12)
+
+
+# --- one outcome tree per copy ---------------------------------------------------
+
+
+def _product_spec(seed: int) -> ExperimentSpec:
+    """A and B on the two factors of a 2 x 3 space share a copy, and C, generic, gets its own."""
+    rng = make_rng(seed)
+    a, b = random_hermitian(2, rng).matrix, random_hermitian(3, rng).matrix
+    bind = BindingSet({
+        "A": hermitian_from_matrix(np.kron(a, np.eye(3))),
+        "B": hermitian_from_matrix(np.kron(np.eye(2), b)),
+        "C": random_hermitian(6, rng),
+    })
+    return ExperimentSpec(random_state(6, rng), bind, ["A", "B", "C"], "A*B - 1.5*C")
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    calls, real = [], getattr(experiments, name)
+    monkeypatch.setattr(experiments, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_sampling_makes_no_born_split_beyond_the_enumeration_and_the_target(monkeypatch):
+    calls = _count_calls(monkeypatch, "born_split")
+    enumerate_expectation(_product_spec(5))
+    enumerated = len(calls)
+    assert enumerated == 3  # A and B on one copy, C on the other
+    calls.clear()
+    run_trials(_product_spec(5), 500, seed=2)
+    assert len(calls) == enumerated + 1
+
+
+def test_check_avcp_then_run_trials_builds_each_copy_tree_once(monkeypatch):
+    spec = _product_spec(6)
+    calls = _count_calls(monkeypatch, "_outcome_tree")
+    check_avcp(spec)
+    run_trials(spec, 500, seed=2)
+    run_trials(spec, 300, seed=4)
+    # one tree per copy at t1, and the target's one-level tree once per run
+    assert len(calls) == len(spec.plan.groups) + 2
+
+
+def test_a_pruned_branch_is_never_drawn():
+    op = hermitian_from_matrix(np.diag([0.0, 1.0]))
+    state = QuantumState.normalized(np.array([np.sqrt(1e-31), 1.0]))
+    _, _, levels = experiments._outcome_tree([op.spectrum], state)
+    u = np.array([1e-32])
+    weights = levels[0][0]
+    assert weights[0, 0] == 0.0 and weights[0, 1] > 0.99
+    (drawn,) = experiments._draw(levels, iter([u]))
+    assert drawn.tolist() == [1.0]
+    # unpruned, the 1e-31 branch would take this draw
+    raw, _ = operators.born_split(op.spectrum, state.amplitudes[None, :])
+    assert operators.inverse_cdf(raw, 0, u).tolist() == [0]
