@@ -177,8 +177,8 @@ class ExperimentSpec:
     @functools.cached_property
     def _trees(self) -> list:
         """Each copy's `_outcome_tree` at t1, built once per spec for enumeration and sampling alike."""
-        spectra = ([self.bindings.embedded(n).spectrum for n in g] for g in self.plan.groups)
-        return [_outcome_tree(group, self.state_at_t1()) for group in spectra]
+        per_copy = ([self.bindings.embedded(n).spectrum for n in g] for g in self.plan.groups)
+        return [_outcome_tree(spectra, self.state_at_t1()) for spectra in per_copy]
 
     def target_operator(self):
         if self.target is not None:
