@@ -85,7 +85,7 @@ def demo_a_plus_b(seed: int = 0, trials: int = 20000, alpha: float = 1.0):
     state = random_state(2, make_rng(seed))
     bindings = BindingSet({"Sx": sx, "Sz": sz, "C": total})
     spec = ExperimentSpec(state, bindings, ["Sx", "Sz"], "Sx + Sz", target="C")
-    report = run_trials(spec, trials, seed, keep_trials=True)
+    report = run_trials(spec, trials, seed)
     eigen = total.spectrum.eigenvalues
     observed = sorted(set(np.round(report.trial_f, 12)))
     out = {

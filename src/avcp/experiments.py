@@ -293,7 +293,8 @@ class ExperimentReport:
 
     `holds` is decided from the exact numbers at the standard tolerance; the
     z-scores locate the sampled means relative to their exact counterparts
-    and to each other.
+    and to each other.  The per-trial arrays are kept for inspection but stay
+    out of `==`, `repr`, `to_dict` and `to_text`.
     """
 
     n_trials: int
@@ -311,9 +312,9 @@ class ExperimentReport:
     z_lhs: float
     z_rhs: float
     z_gap: float
-    trial_target: np.ndarray | None = field(default=None, repr=False)
-    trial_f: np.ndarray | None = field(default=None, repr=False)
-    trial_values: dict[str, np.ndarray] | None = field(default=None, repr=False)
+    trial_target: np.ndarray = field(repr=False, compare=False)
+    trial_f: np.ndarray = field(repr=False, compare=False)
+    trial_values: dict[str, np.ndarray] = field(repr=False, compare=False)
 
     @property
     def verdict(self) -> str:
@@ -355,7 +356,7 @@ def _draw(levels, columns) -> list[np.ndarray]:
     return out
 
 
-def run_trials(spec: ExperimentSpec, n: int, seed: int, keep_trials: bool = False) -> ExperimentReport:
+def run_trials(spec: ExperimentSpec, n: int, seed: int) -> ExperimentReport:
     """Run `n` independent trials of the experimental arrangement.
 
     Trial i draws its randomness from row i of a uniform table generated
@@ -410,7 +411,7 @@ def run_trials(spec: ExperimentSpec, n: int, seed: int, keep_trials: bool = Fals
         z_lhs=_z(sampled_lhs - exact.lhs, se_lhs),
         z_rhs=_z(sampled_rhs - exact.rhs, se_rhs),
         z_gap=_z(sampled_lhs - sampled_rhs, math.hypot(se_lhs, se_rhs)),
-        trial_target=target_vals if keep_trials else None,
-        trial_f=f_vals if keep_trials else None,
-        trial_values=values if keep_trials else None,
+        trial_target=target_vals,
+        trial_f=f_vals,
+        trial_values=values,
     )

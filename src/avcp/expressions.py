@@ -474,32 +474,22 @@ class MeasurementBinding:
 class BindingSet:
     """Named measurements sharing one composite Hilbert space.
 
-    Bindings without a subsystem act on the full space; bindings with a
-    subsystem index are embedded by tensoring with identities, which requires
-    `factor_dims`.  Embedded operators and pairwise commutation tests are
-    cached.
+    `bindings` maps each name to a `HermitianOperator` or to an
+    `(operator, subsystem)` pair.  Bindings without a subsystem act on the
+    full space; bindings with a subsystem index are embedded by tensoring
+    with identities, which requires `factor_dims`.  Embedded operators and
+    pairwise commutation tests are cached.
     """
 
-    def __init__(self, bindings, factor_dims: Iterable[int] | None = None):
-        items: list[MeasurementBinding] = []
-        if isinstance(bindings, Mapping):
-            for name, value in bindings.items():
-                if isinstance(value, MeasurementBinding):
-                    items.append(value)
-                elif isinstance(value, HermitianOperator):
-                    items.append(MeasurementBinding(name, value))
-                else:
-                    op, sub = value
-                    items.append(MeasurementBinding(name, op, sub))
-        else:
-            items = list(bindings)
+    def __init__(self, bindings: Mapping, factor_dims: Iterable[int] | None = None):
+        self._bindings: dict[str, MeasurementBinding] = {}
+        for name, value in bindings.items():
+            op, sub = (value, None) if isinstance(value, HermitianOperator) else value
+            self._bindings[name] = MeasurementBinding(name, op, sub)
         self.factor_dims = None if factor_dims is None else tuple(int(d) for d in factor_dims)
-        self._bindings = {b.name: b for b in items}
-        if len(self._bindings) != len(items):
-            raise ValueError("duplicate binding names")
 
         dims = set() if self.factor_dims is None else {int(np.prod(self.factor_dims))}
-        for b in items:
+        for b in self._bindings.values():
             if b.subsystem is None:
                 dims.add(b.operator.dim)
             elif self.factor_dims is None:
@@ -563,11 +553,11 @@ class BindingSet:
             factor_dims = d.get("factor_dims")
             if not isinstance(entries, dict):
                 raise TypeError(f"a wrapped \"bindings\" value must be a JSON object, got {type(entries).__name__}")
-        items = []
+        items = {}
         for name, value in entries.items():
             op = operator_from_dict(value if "re" in value else value["operator"])
             sub = None if "re" in value else value.get("subsystem")
-            items.append(MeasurementBinding(name, op, None if sub is None else int(sub)))
+            items[name] = (op, None if sub is None else int(sub))
         return cls(items, factor_dims)
 
     def to_dict(self) -> dict:

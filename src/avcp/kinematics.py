@@ -62,9 +62,9 @@ def displacement_unitary(f: FockTruncation, eps: float) -> np.ndarray:
     return propagator(f.p_op, eps, f.alpha)
 
 
-def boundary_weight(v: QuantumState, levels: int = BOUNDARY_LEVELS) -> float:
-    """Probability carried by the top `levels` basis states."""
-    return float(np.sum(np.abs(v.amplitudes[-levels:]) ** 2))
+def boundary_weight(v: QuantumState) -> float:
+    """Probability carried by the top `BOUNDARY_LEVELS` basis states."""
+    return float(np.sum(np.abs(v.amplitudes[-BOUNDARY_LEVELS:]) ** 2))
 
 
 def _require_safe(v: QuantumState):

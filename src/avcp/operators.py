@@ -508,10 +508,10 @@ def state_from_json(text: str) -> QuantumState:
 # random ensembles used by the verification suites and tests
 # ---------------------------------------------------------------------------
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> HermitianOperator:
-    """Random Hermitian operator with entries of order `scale`."""
+def random_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:
+    """Random Hermitian operator with entries of order 1."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return HermitianOperator(scale * (g + g.conj().T) / 2)
+    return HermitianOperator((g + g.conj().T) / 2)
 
 
 def random_state(dim: int, rng: np.random.Generator, factor_dims: Sequence[int] | None = None) -> QuantumState:

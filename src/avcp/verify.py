@@ -186,7 +186,7 @@ def _suite_avcp(seed: int, alpha: float, levels: int, dims) -> Iterator[dict]:
     yield _check("sampling_vs_enumeration_z", max(report.z_lhs, report.z_rhs), 4.0)
 
     rep = run_trials(
-        ExperimentSpec(state, two, ["A1", "A2"], "A1*A2"), 500, seed, keep_trials=True
+        ExperimentSpec(state, two, ["A1", "A2"], "A1*A2"), 500, seed
     )
     repeat_gap = float(np.abs(rep.trial_values["A1"] - rep.trial_values["A2"]).max())
     yield _check("same_copy_repetition_identical", repeat_gap, 0.0)

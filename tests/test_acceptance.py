@@ -130,7 +130,7 @@ def test_criterion_2_spin_half_sum(alpha):
     state = random_state(2, make_rng(2002))
     bind = BindingSet({"Sx": sx, "Sz": sz, "C": total})
     spec = ExperimentSpec(state, bind, ["Sx", "Sz"], "Sx + Sz", target="C")
-    report = run_trials(spec, 50_000, seed=5, keep_trials=True)
+    report = run_trials(spec, 50_000, seed=5)
     values = {float(v) for v in np.round(report.trial_f, 12)}
     allowed = {-alpha, 0.0, alpha}
     _report(

@@ -235,7 +235,7 @@ def test_sampled_outcomes_match_dense_oracle(label, spec):
     n = _trials(spec)
     mismatches = 0
     for seed in SEEDS:
-        report = run_trials(spec, n, seed, keep_trials=True)
+        report = run_trials(spec, n, seed)
         values, target = _oracle_trials(spec, n, seed)
         for name, want in values.items():
             mismatches += int(np.count_nonzero(report.trial_values[name] != want))

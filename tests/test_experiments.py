@@ -366,7 +366,7 @@ def test_spin_half_sum_outcomes_quantized():
     bind = BindingSet({"Sx": sx, "Sz": sz, "C": total})
     state = random_state(2, make_rng(15))
     spec = ExperimentSpec(state, bind, ["Sx", "Sz"], "Sx + Sz", target="C")
-    report = run_trials(spec, 4000, seed=2, keep_trials=True)
+    report = run_trials(spec, 4000, seed=2)
     values = set(np.round(report.trial_f, 12))
     assert values <= {-alpha, 0.0, alpha}
     assert np.allclose(
@@ -381,7 +381,7 @@ def test_same_copy_repetition_yields_identical_outcomes():
     both = BindingSet({"A1": op, "A2": op})
     spec = ExperimentSpec(state, both, ["A1", "A2"], "A1*A2")
     assert spec.plan.groups == (("A1", "A2"),)
-    report = run_trials(spec, 2000, seed=3, keep_trials=True)
+    report = run_trials(spec, 2000, seed=3)
     assert np.array_equal(report.trial_values["A1"], report.trial_values["A2"])
 
 
@@ -391,7 +391,7 @@ def test_two_copy_outcomes_uncorrelated():
     both = BindingSet({"A1": op, "A2": op})
     spec = ExperimentSpec(state, both, ["A1", "A2"], "A1*A2", groups=[["A1"], ["A2"]])
     n = 40_000
-    report = run_trials(spec, n, seed=4, keep_trials=True)
+    report = run_trials(spec, n, seed=4)
     x, y = report.trial_values["A1"], report.trial_values["A2"]
     cov = float(np.mean((x - x.mean()) * (y - y.mean())))
     se = float(np.std((x - x.mean()) * (y - y.mean()), ddof=1) / math.sqrt(n))
@@ -492,7 +492,7 @@ def test_state_dim_must_match_bindings_dim():
 def test_report_dict_has_the_summary_keys_in_order_and_no_trial_arrays():
     sx, sy, _ = _pauli()
     spec = ExperimentSpec(random_state(2, make_rng(30)), BindingSet({"A": sx, "B": sy}), ["A", "B"], "A + B")
-    report = run_trials(spec, 200, seed=4, keep_trials=True)
+    report = run_trials(spec, 200, seed=4)
     d = report.to_dict()
     assert list(d) == [
         "n_trials",
@@ -534,7 +534,7 @@ def test_degenerate_operator_same_copy_square():
     spec = ExperimentSpec(state, both, ["A1", "A2"], "A1*A2")
     want = expectation(hermitian_from_matrix(op.matrix @ op.matrix), state)
     assert enumerate_expectation(spec) == pytest.approx(want, abs=1e-12)
-    report = run_trials(spec, 3000, seed=8, keep_trials=True)
+    report = run_trials(spec, 3000, seed=8)
     assert np.array_equal(report.trial_values["A1"], report.trial_values["A2"])
     assert set(np.round(report.trial_f, 9)) <= {4.0, 25.0}
 
@@ -656,3 +656,15 @@ def test_a_pruned_branch_is_never_drawn():
     # unpruned, the 1e-31 branch would take this draw
     raw, _ = operators.born_split(op.spectrum, state.amplitudes[None, :])
     assert operators.inverse_cdf(raw, 0, u).tolist() == [0]
+
+
+def test_run_trials_keeps_the_trial_arrays_outside_equality_and_the_dict():
+    sx, _, sz = _pauli()
+    spec = ExperimentSpec(random_state(2, make_rng(66)), BindingSet({"A": sx, "B": sz}), ["A", "B"], "A + B")
+    report = run_trials(spec, 300, seed=9)
+    assert report.trial_target.shape == report.trial_f.shape == (300,)
+    assert sorted(report.trial_values) == ["A", "B"]
+    assert np.array_equal(report.trial_f, report.trial_values["A"] + report.trial_values["B"])
+    assert report == run_trials(spec, 300, seed=9)
+    assert not {"trial_target", "trial_f", "trial_values"} & set(report.to_dict())
+

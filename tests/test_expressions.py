@@ -20,6 +20,7 @@ from avcp.expressions import (
     BindingSet,
     Const,
     Func,
+    MeasurementBinding,
     Mul,
     Pow,
     Var,
@@ -465,6 +466,12 @@ def test_binding_set_bare_json():
         {"A": {"dim": 2, "re": [0, 1, 1, 0], "im": [0, 0, 0, 0]}}
     )
     assert np.array_equal(b.embedded("A").matrix, SX)
+
+
+def test_binding_set_rejects_a_measurement_binding_value():
+    # a MeasurementBinding value would bind its own name, not its key
+    with pytest.raises(TypeError):
+        BindingSet({"X": MeasurementBinding("Y", hermitian_from_matrix(SX))})
 
 
 def test_commute_uses_tolerance():
