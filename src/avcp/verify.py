@@ -419,6 +419,8 @@ def run_suite(
         raise ValueError(f"unknown suite {suite!r}; options: all, {', '.join(SUITE_NAMES)}")
     require_alpha(alpha)
     names = list(SUITE_NAMES) if suite == "all" else [suite]
+    # a malformed bindings file fails before any suite runs; its row still comes last
+    bindings_check = None if extra_bindings is None else _validate_bindings(extra_bindings)
     checks: list[dict] = []
     for name in names:
         try:
@@ -428,8 +430,8 @@ def run_suite(
         for c in suite_checks:
             c["suite"] = name
         checks.extend(suite_checks)
-    if extra_bindings is not None:
-        checks.append(_validate_bindings(extra_bindings))
+    if bindings_check is not None:
+        checks.append(bindings_check)
     return {
         "suite": suite,
         "seed": seed,
