@@ -293,8 +293,9 @@ class ExperimentReport:
 
     `holds` is decided from the exact numbers at the standard tolerance; the
     z-scores locate the sampled means relative to their exact counterparts
-    and to each other.  The per-trial arrays are kept for inspection but stay
-    out of `==`, `repr`, `to_dict` and `to_text`.
+    and to each other, and a gap within that tolerance reads as z = 0.  The
+    per-trial arrays are kept for inspection but stay out of `==`, `repr`,
+    `to_dict` and `to_text`.
     """
 
     n_trials: int
@@ -392,8 +393,11 @@ def run_trials(spec: ExperimentSpec, n: int, seed: int) -> ExperimentReport:
     sampled_lhs, se_lhs = _mean_se(target_vals)
     sampled_rhs, se_rhs = _mean_se(f_vals)
 
-    def _z(gap: float, se: float) -> float:
-        return abs(gap) / se if se > 0 else (0.0 if gap == 0 else math.inf)
+    def _z(gap: float, se: float, ref: float) -> float:
+        # a gap within the verdict's own tolerance is roundoff, whatever the standard error
+        if abs(gap) <= AVCP_RTOL * (1.0 + abs(ref)):
+            return 0.0
+        return abs(gap) / se if se > 0 else math.inf
 
     return ExperimentReport(
         n_trials=n,
@@ -408,9 +412,9 @@ def run_trials(spec: ExperimentSpec, n: int, seed: int) -> ExperimentReport:
         residual=exact.residual,
         tolerance=exact.tolerance,
         holds=exact.holds,
-        z_lhs=_z(sampled_lhs - exact.lhs, se_lhs),
-        z_rhs=_z(sampled_rhs - exact.rhs, se_rhs),
-        z_gap=_z(sampled_lhs - sampled_rhs, math.hypot(se_lhs, se_rhs)),
+        z_lhs=_z(sampled_lhs - exact.lhs, se_lhs, exact.lhs),
+        z_rhs=_z(sampled_rhs - exact.rhs, se_rhs, exact.rhs),
+        z_gap=_z(sampled_lhs - sampled_rhs, math.hypot(se_lhs, se_rhs), sampled_lhs),
         trial_target=target_vals,
         trial_f=f_vals,
         trial_values=values,
