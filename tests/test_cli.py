@@ -204,6 +204,17 @@ def test_verify_corrupted_binding_exits_three(tmp_path, capsys):
     assert failing and failing[0]["error"] == "NotHermitian"
 
 
+def test_verify_reads_the_bindings_before_any_suite(tmp_path, monkeypatch, capsys):
+    called = []
+    for name in verify_mod._SUITES:
+        monkeypatch.setitem(verify_mod._SUITES, name, lambda *args, name=name: called.append(name) or [])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"bindings": [1]}))
+    assert main(["verify", "avcp", "--bindings", str(bad)]) == 1
+    assert called == []
+    assert capsys.readouterr().err.startswith("error: TypeError: ")
+
+
 def test_verify_valid_bindings_adds_one_passing_check(pauli_bindings_file, capsys):
     assert main(["verify", "operators", "--bindings", pauli_bindings_file]) == 0
     report = json.loads(capsys.readouterr().out)

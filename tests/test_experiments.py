@@ -476,6 +476,22 @@ def test_evolution_window_applied_to_both_times():
     assert v.lhs == pytest.approx(want, abs=1e-12)
 
 
+def test_callable_window_evolves_like_a_callable_schedule():
+    h0, h1 = random_hermitian(3, make_rng(61)).matrix, random_hermitian(3, make_rng(62)).matrix
+
+    def fn(t):
+        return h0 + math.sin(t) * h1
+
+    window = EvolutionWindow(HamiltonianSchedule.from_function(fn, 0.0, 1.5), t1=0.6, t2=1.2, steps=24)
+    state = random_state(3, make_rng(63))
+    a, b = random_hermitian(3, make_rng(64)), random_hermitian(3, make_rng(65))
+    spec = ExperimentSpec(state, BindingSet({"A": a, "B": b}), ["A", "B"], "A + B", evolution=window)
+    assert window.schedule.dim == 3
+    for t, got in ((0.6, spec.state_at_t1()), (1.2, spec.state_at_t2())):
+        want = evolution.evolve(state, HamiltonianSchedule.from_function(fn, 0.0, t), 24)
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
 def test_target_cannot_be_an_implementation_measurement():
     sx, sy, _ = _pauli()
     bind = BindingSet({"A": sx, "B": sy})
@@ -668,3 +684,22 @@ def test_run_trials_keeps_the_trial_arrays_outside_equality_and_the_dict():
     assert report == run_trials(spec, 300, seed=9)
     assert not {"trial_target", "trial_f", "trial_values"} & set(report.to_dict())
 
+
+def test_a_constant_f_samples_one_value_per_trial():
+    spec = ExperimentSpec(random_state(3, make_rng(67)), BindingSet({"A": random_hermitian(3, make_rng(68))}), ["A"], "2")
+    report = run_trials(spec, 50, seed=1)
+    assert report.trial_f.shape == (50,)
+    assert np.all(report.trial_f == 2.0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_gap_within_the_verdict_tolerance_has_z_zero(seed):
+    # a deterministic sample that matches the exact value up to roundoff: a constant f,
+    # and f = A on an eigenvector of A; the standard error is 0 or about 1e-18
+    a = random_hermitian(4, make_rng(seed))
+    constant = ExperimentSpec(random_state(4, make_rng(100 + seed)), BindingSet({"A": a}), ["A"], "3")
+    eigen = QuantumState.normalized(a.spectrum.eigenvectors[:, 1])
+    sharp = ExperimentSpec(eigen, BindingSet({"A": a}), ["A"], "A")
+    for spec in (constant, sharp):
+        report = run_trials(spec, 1000, seed)
+        assert (report.z_lhs, report.z_rhs, report.z_gap) == (0.0, 0.0, 0.0)

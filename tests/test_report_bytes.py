@@ -80,6 +80,7 @@ CORPUS = (
     "experiment missing.json",
     "experiment split_d6.json --levels 8",
     "evolve --state state_d12.json --schedule alpha_true.json",
+    "evolve --state state_d12.json --schedule pieces_d12.json --steps 0",
     "AVCP_ALPHA=abc evolve --state state_d12.json --schedule pieces_d12.json",
     "AVCP_ALPHA=abc experiment split_d6.json",
     "verify nosuch",
