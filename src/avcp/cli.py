@@ -7,7 +7,9 @@ expression; 2 expression or bracket-rule input rejected as non-simple;
 3 verification failure.  Stochastic commands are reproducible: the same
 seed yields byte-identical output.  The environment variable AVCP_ALPHA
 overrides the default evolution constant; an explicit --alpha flag wins over
-both, and a schedule file's own "alpha" wins over all three.
+both, and a schedule file's own "alpha" wins over all three.  For `avcp
+experiment`, an explicit --seed or --trials wins over the spec's "seed" or
+"n_trials", which wins over the default.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "experiment", "run a multi-copy experiment from a JSON spec", _experiment,
                      ("seed", "trials", "alpha"))
     p.add_argument("spec", help="experiment JSON file")
+    p.set_defaults(seed=None, trials=None)  # unset: the spec's "seed" and "n_trials", else the usual defaults
 
     p = _add_command(sub, "verify", "run a verification suite", _verify, _VERIFY_OPTIONS)
     p.add_argument("suite", nargs="?", default="all")
@@ -155,8 +158,9 @@ def _experiment(args) -> int:
     raw = _load_json(args.spec)
     alpha = _alpha(args) if isinstance(raw, dict) and raw.get("evolution") else 1.0  # only a window reads alpha
     spec = ExperimentSpec.from_dict(raw, alpha)
-    n = whole_number(raw.get("n_trials", args.trials), "n_trials")
-    seed = whole_number(raw.get("seed", args.seed), "seed")
+    n = whole_number(raw.get("n_trials", _OPTIONS["trials"]["default"]) if args.trials is None else args.trials,
+                     "n_trials")
+    seed = whole_number(raw.get("seed", _OPTIONS["seed"]["default"]) if args.seed is None else args.seed, "seed")
     report = run_trials(spec, n, seed)
     _emit(report.to_dict(), args.format, args.out, text_renderer=lambda d: report.to_text())
     return 0

@@ -484,8 +484,14 @@ class BindingSet:
     def __init__(self, bindings: Mapping, factor_dims: Iterable[int] | None = None):
         self._bindings: dict[str, MeasurementBinding] = {}
         for name, value in bindings.items():
-            op, sub = (value, None) if isinstance(value, HermitianOperator) else value
-            self._bindings[name] = MeasurementBinding(name, op, sub)
+            if isinstance(value, HermitianOperator):
+                value = (value, None)
+            elif not (isinstance(value, tuple) and len(value) == 2 and isinstance(value[0], HermitianOperator)):
+                raise TypeError(
+                    f"binding {name!r} must be a HermitianOperator or an (operator, subsystem) pair, "
+                    f"got {type(value).__name__}"
+                )
+            self._bindings[name] = MeasurementBinding(name, *value)
         self.factor_dims = None if factor_dims is None else tuple(int(d) for d in factor_dims)
 
         dims = set() if self.factor_dims is None else {int(np.prod(self.factor_dims))}
@@ -525,8 +531,13 @@ class BindingSet:
         key = (a, b) if a < b else (b, a)
         if key not in self._commute:
             ma, mb = self.embedded(a).matrix, self.embedded(b).matrix
-            bound = COMMUTATION_RTOL * max_norm(ma) * max_norm(mb)
-            self._commute[key] = max_norm(commutator(ma, mb)) <= bound
+            sa, sb = self._bindings[a].subsystem, self._bindings[b].subsystem
+            if sa is not None and sb is not None and sa != sb:
+                # embeddings on different factors: `commutator` gives exactly 0 for them
+                self._commute[key] = True
+            else:
+                bound = COMMUTATION_RTOL * max_norm(ma) * max_norm(mb)
+                self._commute[key] = max_norm(commutator(ma, mb)) <= bound
         return self._commute[key]
 
     def noncommuting_pairs(self, names: Sequence[str]) -> Iterator[tuple[str, str]]:

@@ -308,14 +308,21 @@ def apply_spectral_function(h: HermitianOperator, f: Callable[[float], float]) -
 def commutator(a, b) -> np.ndarray:
     """A B - B A for matrices or HermitianOperators of equal dimension.
 
-    Products go through einsum rather than gemm: 3M-style complex gemm adds
-    roundoff that would spoil the exact zero of structurally commuting
-    operators (for example, embeddings on disjoint tensor factors).
+    Each complex product is assembled from real gemm products of the real and
+    imaginary parts, and the two sides are combined in the same order.  Real
+    gemm forms every entry as a plain sum of real products, with no 3M-style
+    recombination, so operators that commute by structure keep an exact zero:
+    for embeddings on disjoint tensor factors, each entry of every real
+    product of A B holds a single nonzero term, the same term as the matching
+    entry of B A, so the two sides agree bit for bit.
     """
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.shape != mb.shape:
         raise DimMismatch(f"dims {ma.shape[0]} and {mb.shape[0]} differ")
-    return np.einsum("ik,kj->ij", ma, mb) - np.einsum("ik,kj->ij", mb, ma)
+    ar, ai, br, bi = ma.real, ma.imag, mb.real, mb.imag
+    re = (ar @ br - ai @ bi) - (br @ ar - bi @ ai)
+    im = (ar @ bi + ai @ br) - (br @ ai + bi @ ar)
+    return re + 1j * im
 
 
 def expectation(h, v: QuantumState) -> float:

@@ -443,7 +443,7 @@ def test_experiment_with_zero_steps_exits_one_with_the_steps_error(tmp_path, cap
     assert captured.err == "error: ValueError: steps must be >= 1\n"
 
 
-def _experiment_run(tmp_path, capsys, **fields):
+def _experiment_run(tmp_path, capsys, *flags, **fields):
     spec = {
         "state": {"dim": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]},
         "bindings": {"A": matrix_to_dict(SX)},
@@ -453,7 +453,7 @@ def _experiment_run(tmp_path, capsys, **fields):
     }
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    rc = main(["experiment", str(path)])
+    rc = main(["experiment", str(path), *flags])
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -476,6 +476,33 @@ def test_experiment_reads_whole_float_trials_and_seed_as_integers(tmp_path, caps
     assert rc == 0 and err == ""
     assert '"n_trials": 100,' in out and '"seed": 4,' in out
     assert out == _experiment_run(tmp_path, capsys, n_trials=100, seed=4)[1]
+
+
+@pytest.mark.parametrize(
+    "flags, fields, trials_and_seed",
+    [
+        (("--trials", "50", "--seed", "3"), {"n_trials": 100, "seed": 4}, (50, 3)),
+        (("--trials", "50"), {"n_trials": 100, "seed": 4}, (50, 4)),
+        (("--seed", "3"), {"n_trials": 100, "seed": 4}, (100, 3)),
+        ((), {"n_trials": 100, "seed": 4}, (100, 4)),
+        (("--trials", "50"), {}, (50, 0)),
+        ((), {}, (10000, 0)),
+        (("--trials", "50", "--seed", "3"), {"n_trials": 2.7, "seed": True}, (50, 3)),
+    ],
+    ids=["both_options", "trials_option", "seed_option", "spec", "option_over_default", "defaults",
+         "options_over_bad_spec_values"],
+)
+def test_experiment_trials_and_seed_options_win_over_the_spec(tmp_path, capsys, flags, fields, trials_and_seed):
+    rc, out, err = _experiment_run(tmp_path, capsys, *flags, **fields)
+    assert rc == 0 and err == ""
+    report = json.loads(out)
+    assert (report["n_trials"], report["seed"]) == trials_and_seed
+
+
+def test_experiment_options_equal_to_the_spec_values_print_the_same_bytes(tmp_path, capsys):
+    by_spec = _experiment_run(tmp_path, capsys, n_trials=300, seed=9)
+    assert by_spec == _experiment_run(tmp_path, capsys, "--trials", "300", "--seed", "9", n_trials=7, seed=1)
+    assert by_spec == _experiment_run(tmp_path, capsys, "--trials", "300", "--seed", "9")
 
 
 @pytest.mark.parametrize("command", ["evolve", "experiment"])

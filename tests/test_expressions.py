@@ -468,6 +468,13 @@ def test_binding_set_bare_json():
     assert np.array_equal(b.embedded("A").matrix, SX)
 
 
+@pytest.mark.parametrize("value", [np.eye(2), np.eye(3)], ids=["eye2", "eye3"])
+def test_binding_set_rejects_a_raw_matrix_value_naming_the_binding(value):
+    # a raw matrix is neither an operator nor an (operator, subsystem) pair; its rows must not be unpacked
+    with pytest.raises(TypeError, match="binding 'A' must be a HermitianOperator or an \\(operator, subsystem\\) pair"):
+        BindingSet({"A": value}, factor_dims=[2, 2])
+
+
 def test_binding_set_rejects_a_measurement_binding_value():
     # a MeasurementBinding value would bind its own name, not its key
     with pytest.raises(TypeError):
@@ -478,3 +485,57 @@ def test_commute_uses_tolerance():
     b = _pauli_bindings()
     assert not b.commute("A", "B")
     assert b.commute("A", "A")
+
+
+def _mixed_bindings():
+    """Two operators on each factor of a 2 x 3 space, one on the full space, one commuting with A0."""
+    rng = make_rng(23)
+    a0, c0 = random_commuting_family(2, 2, rng)
+    return BindingSet(
+        {
+            "A0": (a0, 0),
+            "C0": (c0, 0),
+            "B0": (random_hermitian(2, rng), 0),
+            "A1": (random_hermitian(3, rng), 1),
+            "B1": (random_hermitian(3, rng), 1),
+            "F": random_hermitian(6, rng),
+            "E": hermitian_from_matrix(np.kron(np.diag([1.0, -2.0]), np.eye(3))),
+        },
+        factor_dims=[2, 3],
+    )
+
+
+def _counting_commutator(monkeypatch) -> list:
+    calls = []
+    real = expressions.commutator
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(expressions, "commutator", counted)
+    return calls
+
+
+def test_commute_forms_no_product_for_bindings_on_different_subsystems(monkeypatch):
+    b = _mixed_bindings()
+    calls = _counting_commutator(monkeypatch)
+    for x in ("A0", "B0", "C0"):
+        for y in ("A1", "B1"):
+            assert b.commute(x, y) and b.commute(y, x)
+    assert calls == []
+    assert max_norm(expressions.commutator(b.embedded("A0"), b.embedded("B1"))) == 0.0
+
+
+def test_commute_matches_the_full_product_for_every_pair():
+    b = _mixed_bindings()
+    answers = {}
+    for x in b.names:
+        for y in b.names:
+            ma, mb = b.embedded(x).matrix, b.embedded(y).matrix
+            full = max_norm(expressions.commutator(ma, mb)) <= expressions.COMMUTATION_RTOL * max_norm(ma) * max_norm(mb)
+            answers[x, y] = b.commute(x, y)
+            assert answers[x, y] == full, (x, y)
+    # same-subsystem, full-space and mixed pairs take the full product, and both answers occur among them
+    assert not answers["A0", "B0"] and answers["A0", "C0"] and not answers["A1", "B1"]
+    assert answers["E", "A1"] and answers["E", "B1"] and not answers["E", "B0"] and not answers["F", "A1"]

@@ -12,7 +12,8 @@ purpose rewrites the manifest with
 
     PYTHONPATH=src python tests/test_report_bytes.py
 
-and lists each changed key, with the reason, in CHANGES.md.
+which prints each key whose digest changed, was added or was removed, and lists each changed key,
+with the reason, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -33,10 +34,15 @@ import pytest
 
 from avcp.cli import main
 from avcp.experiments import ExperimentSpec, check_avcp
+from avcp.expressions import COMMUTATION_RTOL, BindingSet
+from avcp.operators import commutator, max_norm
 
 MANIFEST = Path(__file__).with_name("report_bytes.json")
 
 SEEDS = (*range(12), 17, 23, 98, 133)
+EXPERIMENTS = ("split_d6", "same_d6", "three_d6", "local_d12", "split_d12", "same_d16", "three_d16", "named_d12",
+               "split_d32", "three_d32")
+CHECKED = ("exact_separable", "exact_named", "exact_local", "three_d16")
 CORPUS = (
     *(f"verify all --seed {s}{fmt}" for s in SEEDS for fmt in ("", " --format text")),
     "verify all --alpha 0.7 --levels 40",
@@ -55,8 +61,7 @@ CORPUS = (
     "quantize A+0.5*B --bindings bindings_d4.json",
     "quantize A^2+cos(A) --bindings bindings_d4.json --format text",
     "quantize A*B --bindings bindings_d4.json",
-    *(f"experiment {name}.json" for name in ("split_d6", "same_d6", "three_d6", "local_d12", "split_d12",
-                                             "same_d16", "three_d16", "named_d12", "split_d32", "three_d32")),
+    *(f"experiment {name}.json" for name in EXPERIMENTS),
     "experiment three_d6.json --seed 4 --trials 3000 --format text",
     "experiment same_d16.json --format text",
     "experiment window_d256.json",
@@ -66,7 +71,7 @@ CORPUS = (
     "evolve --state state_d256.json --schedule schedule_d256.json --alpha 0.3",
     "evolve --state state_d256.json --schedule schedule_d256.json --alpha 0",
     "evolve --state state_d12.json --schedule pieces_d12.json --steps 40 --format text",
-    *(f"check_avcp {name}.json" for name in ("exact_separable", "exact_named", "exact_local", "three_d16")),
+    *(f"check_avcp {name}.json" for name in CHECKED),
     # the error lines of inputs that recent changes reject
     "experiment bad_steps.json",
     "experiment bad_n_trials.json",
@@ -225,8 +230,33 @@ def test_report_bytes_match_the_manifest(tmp_path):
     assert not changed, f"report bytes changed for: {changed}"
 
 
+def _full_product_commute(self, a, b):
+    """`BindingSet.commute` without its cache or its shortcut for bindings on different subsystems."""
+    ma, mb = self.embedded(a).matrix, self.embedded(b).matrix
+    return a == b or max_norm(commutator(ma, mb)) <= COMMUTATION_RTOL * max_norm(ma) * max_norm(mb)
+
+
+def test_set_up_plans_match_the_full_product_commutation(tmp_path):
+    _write_inputs(tmp_path)
+    for name in (*EXPERIMENTS, *CHECKED, "window_d256"):
+        doc = json.loads((tmp_path / f"{name}.json").read_text())
+        groups = ExperimentSpec.from_dict(doc).plan.groups
+        with mock.patch.object(BindingSet, "commute", _full_product_commute):
+            assert ExperimentSpec.from_dict(doc).plan.groups == groups, name
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as folder:
         manifest = {"environment": _environment(), "digests": _digests(Path(folder))}
+    old, new = _RECORDED["digests"], manifest["digests"]
+    if _RECORDED["environment"] != manifest["environment"]:
+        sys.stdout.write(f"environment: {_RECORDED['environment']} -> {manifest['environment']}\n")
+    for key in new:
+        if key not in old:
+            sys.stdout.write(f"added: {key}\n")
+        elif old[key] != new[key]:
+            sys.stdout.write(f"changed: {key}\n")
+    for key in sorted(old.keys() - new.keys()):
+        sys.stdout.write(f"removed: {key}\n")
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")
-    sys.stdout.write(f"wrote {len(manifest['digests'])} digests to {MANIFEST}\n")
+    sys.stdout.write(f"wrote {len(new)} digests to {MANIFEST}\n")
