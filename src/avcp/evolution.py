@@ -3,13 +3,16 @@
 In a time-independent background a state picks up exp(-i H dt / alpha),
 applied in H's eigenbasis by `propagate`; a time-dependent background is
 sliced, one such factor per slice, with the Hamiltonian sampled at slice
-midpoints (second-order accurate in the slice width).
+midpoints (second-order accurate in the slice width). Consecutive slices on
+one piece of a piecewise schedule share H, so each such run is one factor
+exp(-i H k dt / alpha); the state is renormalised after each factor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +33,8 @@ from .operators import (
 
 _CONTIGUITY_RTOL = 1e-12
 _NORM_DRIFT_TOL = 1e-12
-#: evolve samples and diagonalises at most this many slices, of at most this many matrix entries, at once
+#: evolve samples and diagonalises a callable schedule's slices in blocks of at most this many slices and
+#: matrix entries; they bound only those stacks, since a piecewise schedule's runs cross block edges
 _BLOCK_SLICES, _BLOCK_ENTRIES = 256, 2**20
 
 
@@ -38,6 +42,13 @@ def require_alpha(alpha: float) -> None:
     """Raise ValueError unless the evolution constant alpha is finite and positive (a bool is not a number)."""
     if isinstance(alpha, bool) or not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
+
+
+def whole_number(value, name: str) -> int:
+    """A count or seed as an int: 128 and 128.0 read as 128; 2.7, true and Infinity raise ValueError."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -156,8 +167,11 @@ def propagator(h: HermitianOperator, dt: float, alpha: float = 1.0) -> np.ndarra
 
 
 def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumState:
-    """Propagate across the schedule span with `steps` midpoint-sampled slices, sampled and
-    diagonalised in blocks: a callable schedule's `fn` may run up to one block ahead of propagation."""
+    """Propagate across the schedule span with `steps` midpoint-sampled slices. Each run of consecutive
+    slices on one piece is one propagation; a callable schedule is sampled and diagonalised in blocks,
+    so its `fn` may run up to one block ahead of propagation. The state is renormalised after each
+    propagation."""
+    steps = whole_number(steps, "steps")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     span = sched.t_end - sched.t_start
@@ -167,30 +181,33 @@ def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumSt
         raise DimMismatch(f"schedule dim {sched.dim} vs state dim {v.dim}")
     amps = np.array(v.amplitudes, dtype=complex)
     dt = span / steps
+    if sched.fn is None:  # every slice of a run shares one H: k slices are exp(-i H k dt / alpha)
+        for h, run in groupby(sched.at(sched.t_start + (k + 0.5) * dt) for k in range(steps)):
+            amps = _renormalised(propagate(h, sum(1 for _ in run) * dt, amps, sched.alpha))
+        return QuantumState(amps, v.factor_dims)
     block = max(1, min(_BLOCK_SLICES, _BLOCK_ENTRIES // v.dim**2))
-    last = None  # eigenvectors of the last slice, conjugate-transposed once per run of slices that share them
     for start in range(0, steps, block):
         mids = [sched.t_start + (k + 0.5) * dt for k in range(start, min(start + block, steps))]
-        if sched.fn is None:  # a piece's spectrum is diagonalised once and cached on its operator
-            spectra = [sched.at(t).spectrum for t in mids]
-            values, vectors = np.array([s.eigenvalues for s in spectra]), [s.eigenvectors for s in spectra]
-        else:  # one validated stack: the block's dims first, then each slice in order as HermitianOperator would
-            mats = [h.matrix if isinstance(h, HermitianOperator) else h for h in map(sched.fn, mids)]
-            for m in mats:  # the first slice at fault is the one named
-                if np.shape(m) != (v.dim, v.dim):
-                    raise DimMismatch(f"schedule dim {as_complex_matrix(m).shape[0]} vs state dim {v.dim}")
-            mats = np.array(mats, dtype=complex)  # rebinding drops fn's results before the next block is sampled
-            hermitian_gate(mats)
-            values, vectors, _, _ = eigh_stack(mats)
+        # one validated stack: the block's dims first, then each slice in order as HermitianOperator would
+        mats = [h.matrix if isinstance(h, HermitianOperator) else h for h in map(sched.fn, mids)]
+        for m in mats:  # the first slice at fault is the one named
+            if np.shape(m) != (v.dim, v.dim):
+                raise DimMismatch(f"schedule dim {as_complex_matrix(m).shape[0]} vs state dim {v.dim}")
+        mats = np.array(mats, dtype=complex)  # rebinding drops fn's results before the next block is sampled
+        hermitian_gate(mats)
+        values, vectors, _, _ = eigh_stack(mats)
         for phases, vecs in zip(np.exp(-1j * values * (dt / sched.alpha)), vectors):
-            if vecs is not last:
-                last, vecs_h = vecs, vecs.conj().T
-            amps = vecs @ (phases * (vecs_h @ amps))
-            norm = float(np.linalg.norm(amps))
-            if abs(norm - 1.0) > _NORM_DRIFT_TOL:
-                raise DimMismatch(f"norm drifted by {abs(norm - 1.0):.3e} in one slice")
-            amps /= norm
+            amps = _renormalised(vecs @ (phases * (vecs.conj().T @ amps)))
     return QuantumState(amps, v.factor_dims)
+
+
+def _renormalised(amps: np.ndarray) -> np.ndarray:
+    """`amps` divided by its norm, in place; a norm more than _NORM_DRIFT_TOL from 1 raises DimMismatch."""
+    norm = float(np.linalg.norm(amps))
+    if abs(norm - 1.0) > _NORM_DRIFT_TOL:
+        raise DimMismatch(f"norm drifted by {abs(norm - 1.0):.3e} in one slice")
+    amps /= norm
+    return amps
 
 
 def evolved_expectation(

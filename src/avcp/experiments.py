@@ -24,7 +24,7 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import DimMismatch, StateSpaceTooLarge, UnboundVariable
-from .evolution import HamiltonianSchedule, evolve
+from .evolution import HamiltonianSchedule, evolve, whole_number
 from .expressions import BindingSet
 from .operators import QuantumState, born_split, expectation, inverse_cdf, make_rng, state_from_dict, state_to_dict
 
@@ -63,13 +63,6 @@ def plan_setups(names: Sequence[str], bindings: BindingSet) -> SetupPlan:
         else:
             groups.append([name])
     return SetupPlan(tuple(tuple(g) for g in groups))
-
-
-def whole_number(value, name: str) -> int:
-    """A spec's count or seed as an int: 128 and 128.0 read as 128; 2.7, true and Infinity raise ValueError."""
-    if isinstance(value, bool) or not float(value).is_integer():
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

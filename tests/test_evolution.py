@@ -321,15 +321,120 @@ def test_evolve_is_bytewise_the_earlier_slice_loop_for_callables(form, steps):
     assert np.array_equal(got, _blocked_reference_evolve(v, sched, steps).amplitudes)
 
 
-@pytest.mark.parametrize("steps", [7, 300])
-def test_evolve_is_bytewise_the_earlier_slice_loop_for_pieces_at_d100(steps):
-    # blocks of 104 slices at d = 100; 300 slices cross two block edges and both piece boundaries
+# --- piecewise schedules: one propagation per run of slices on a piece -------------
+
+
+def _three_pieces_d100():
     rng = make_rng(81)
     hs = [random_hermitian(100, rng) for _ in range(3)]
     sched = HamiltonianSchedule.piecewise([(0.0, 0.4, hs[0]), (0.4, 1.3, hs[1]), (1.3, 2.0, hs[2])], 1.2)
-    v = random_state(100, rng)
+    return random_state(100, rng), sched
+
+
+def _slice_runs(sched, steps):
+    """[operator, slices] for each maximal run of consecutive midpoints in one piece, the pieces scanned
+    in order and a midpoint on a shared endpoint taken by the earlier piece."""
+    dt = (sched.t_end - sched.t_start) / steps
+    runs = []
+    for k in range(steps):
+        mid = sched.t_start + (k + 0.5) * dt
+        h = next(h for a, b, h in sched.pieces if a <= mid <= b)
+        if runs and runs[-1][0] is h:
+            runs[-1][1] += 1
+        else:
+            runs.append([h, 1])
+    return runs
+
+
+def _expm_over_runs(v, sched, steps):
+    """Independent oracle: scipy's expm of -i H k dt / alpha for each run of k slices, applied in order."""
+    dt = (sched.t_end - sched.t_start) / steps
+    amps = v.amplitudes
+    for h, k in _slice_runs(sched, steps):
+        amps = scipy.linalg.expm(-1j * h.matrix * (k * dt / sched.alpha)) @ amps
+    return amps
+
+
+def _run_reference_evolve(v, sched, steps):
+    """Byte reference: `sched.at` at each midpoint, then one `propagate` per run of equal operators,
+    each followed by a renormalisation."""
+    dt = (sched.t_end - sched.t_start) / steps
+    hs = [sched.at(sched.t_start + (k + 0.5) * dt) for k in range(steps)]
+    amps = np.array(v.amplitudes, dtype=complex)
+    first = 0
+    for k in range(1, steps + 1):
+        if k == steps or hs[k] is not hs[first]:
+            amps = propagate(hs[first], (k - first) * dt, amps, sched.alpha)
+            amps /= float(np.linalg.norm(amps))
+            first = k
+    return amps
+
+
+@pytest.mark.parametrize("steps", [7, 300, 4096])
+def test_evolve_on_pieces_matches_expm_over_runs_at_d100(steps):
+    # blocks of 104 slices at d = 100: 300 and 4096 slices cross block edges and both piece boundaries
+    v, sched = _three_pieces_d100()
+    want = _expm_over_runs(v, sched, steps)
     got = evolve(v, sched, steps).amplitudes
-    assert np.array_equal(got, _blocked_reference_evolve(v, sched, steps).amplitudes)
+    err = np.abs(got - want).max()
+    assert err <= 1e-13
+    assert err <= np.abs(_blocked_reference_evolve(v, sched, steps).amplitudes - want).max()
+    assert got.tobytes() == _run_reference_evolve(v, sched, steps).tobytes()
+
+
+def _boundary_pieces(zero_length):
+    """Four slices of 0.5 over [0, 2]: the midpoint 0.75 sits exactly on the first boundary."""
+    rng = make_rng(83)
+    hs = [random_hermitian(5, rng) for _ in range(3)]
+    pieces = [(0.0, 0.75, hs[0]), (0.75, 0.75, hs[1]), (0.75, 2.0, hs[2])]
+    if not zero_length:
+        del pieces[1]
+    return random_state(5, rng), HamiltonianSchedule.piecewise(pieces, 0.9), hs
+
+
+@pytest.mark.parametrize("zero_length", [False, True])
+def test_a_midpoint_on_a_boundary_runs_with_the_earlier_piece(zero_length, monkeypatch):
+    v, sched, hs = _boundary_pieces(zero_length)
+    want = _run_reference_evolve(v, sched, 4)
+    calls = []
+    real = avcp.evolution.propagate
+    monkeypatch.setattr(avcp.evolution, "propagate", lambda h, dt, *a: calls.append((h, dt)) or real(h, dt, *a))
+    assert evolve(v, sched, 4).amplitudes.tobytes() == want.tobytes()
+    assert calls == [(hs[0], 1.0), (hs[2], 1.0)]
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_a_midpoint_in_an_admitted_gap_still_raises_schedule_gap(steps):
+    # the pieces are 8e-13 apart, inside the 1e-12 contiguity tolerance; the midpoint 0.5 is in the gap
+    rng = make_rng(84)
+    h0, h1 = random_hermitian(3, rng), random_hermitian(3, rng)
+    sched = HamiltonianSchedule.piecewise([(0.0, 0.5 - 4e-13, h0), (0.5 + 4e-13, 1.0, h1)])
+    v = random_state(3, rng)
+    with pytest.raises(ScheduleGap) as want:
+        _blocked_reference_evolve(v, sched, steps)
+    with pytest.raises(ScheduleGap) as got:
+        evolve(v, sched, steps)
+    assert str(got.value) == str(want.value)
+
+
+def test_three_pieces_take_three_propagations(monkeypatch):
+    v, sched = _three_pieces_d100()
+    calls = []
+    real = avcp.evolution.propagate
+    monkeypatch.setattr(avcp.evolution, "propagate", lambda h, *a: calls.append(h) or real(h, *a))
+    evolve(v, sched, 4096)
+    assert calls == [h for _, _, h in sched.pieces]
+
+
+@pytest.mark.parametrize("sched", [
+    HamiltonianSchedule.constant(HermitianOperator(SZ), 0.0, 1.0),
+    HamiltonianSchedule.from_function(lambda t: SX + t * SZ, 0.0, 1.0),
+], ids=["pieces", "callable"])
+def test_evolve_reads_steps_through_the_whole_number_rule(sched):
+    v = QuantumState.normalized(np.array([1.0, 1.0j]))
+    with pytest.raises(ValueError, match=r"^steps must be a whole number, got True$"):
+        evolve(v, sched, True)
+    assert evolve(v, sched, 2.0).amplitudes.tobytes() == evolve(v, sched, 2).amplitudes.tobytes()
 
 
 def _faulty_drive(start, fault):
