@@ -272,9 +272,10 @@ def test_at_most_one_block_of_slice_operators_is_alive():
 
 
 def _blocked_reference_evolve(v, sched, steps):
-    """The earlier library loop, kept as the byte reference: each slice's shape checked in turn before
-    the block is stacked, the eigenvectors conjugated per slice (once per run for pieces), and the norm
-    taken by `np.linalg.norm` on a freshly allocated product."""
+    """The earlier library loop, kept as the byte reference for callables and the slow per-slice
+    reference for pieces: each slice's shape checked in turn before the block is stacked, the
+    eigenvectors conjugated per slice (once per run for pieces), and the norm taken by `np.linalg.norm`
+    on a freshly allocated product."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     span = sched.t_end - sched.t_start
@@ -331,9 +332,9 @@ def _three_pieces_d100():
     return random_state(100, rng), sched
 
 
-def _slice_runs(sched, steps):
-    """[operator, slices] for each maximal run of consecutive midpoints in one piece, the pieces scanned
-    in order and a midpoint on a shared endpoint taken by the earlier piece."""
+def _expm_over_runs(v, sched, steps):
+    """Independent oracle: scipy's expm of -i H k dt / alpha for each maximal run of k midpoints in one
+    piece, the pieces scanned in order and a midpoint on a shared endpoint taken by the earlier piece."""
     dt = (sched.t_end - sched.t_start) / steps
     runs = []
     for k in range(steps):
@@ -343,21 +344,15 @@ def _slice_runs(sched, steps):
             runs[-1][1] += 1
         else:
             runs.append([h, 1])
-    return runs
-
-
-def _expm_over_runs(v, sched, steps):
-    """Independent oracle: scipy's expm of -i H k dt / alpha for each run of k slices, applied in order."""
-    dt = (sched.t_end - sched.t_start) / steps
     amps = v.amplitudes
-    for h, k in _slice_runs(sched, steps):
+    for h, k in runs:
         amps = scipy.linalg.expm(-1j * h.matrix * (k * dt / sched.alpha)) @ amps
     return amps
 
 
 def _run_reference_evolve(v, sched, steps):
-    """Byte reference: `sched.at` at each midpoint, then one `propagate` per run of equal operators,
-    each followed by a renormalisation."""
+    """Byte reference: `sched.at` at each midpoint, then one `propagate` per run of consecutive slices
+    on the same operator, each followed by a renormalisation."""
     dt = (sched.t_end - sched.t_start) / steps
     hs = [sched.at(sched.t_start + (k + 0.5) * dt) for k in range(steps)]
     amps = np.array(v.amplitudes, dtype=complex)
