@@ -526,18 +526,11 @@ class BindingSet:
         return self._embedded[name]
 
     def commute(self, a: str, b: str) -> bool:
-        if a == b:
-            return True
         key = (a, b) if a < b else (b, a)
         if key not in self._commute:
             ma, mb = self.embedded(a).matrix, self.embedded(b).matrix
-            sa, sb = self._bindings[a].subsystem, self._bindings[b].subsystem
-            if sa is not None and sb is not None and sa != sb:
-                # embeddings on different factors: `commutator` gives exactly 0 for them
-                self._commute[key] = True
-            else:
-                bound = COMMUTATION_RTOL * max_norm(ma) * max_norm(mb)
-                self._commute[key] = max_norm(commutator(ma, mb)) <= bound
+            bound = COMMUTATION_RTOL * max_norm(ma) * max_norm(mb)
+            self._commute[key] = max_norm(commutator(ma, mb)) <= bound
         return self._commute[key]
 
     def noncommuting_pairs(self, names: Sequence[str]) -> Iterator[tuple[str, str]]:
@@ -595,10 +588,8 @@ def classify_simple(e, bindings: BindingSet) -> SimplicityVerdict:
     """Check that no monomial multiplies outcomes of non-commuting operators.
 
     Variables inside function arguments count as multiplied into their
-    monomial, since the function's power series multiplies them out.  A
-    variable paired with itself is always fine, and operators embedded on
-    disjoint factors commute by construction.  `e` may be an expression or
-    its expanded `PolynomialForm`.
+    monomial, since the function's power series multiplies them out.  `e`
+    may be an expression or its expanded `PolynomialForm`.
     """
     form = expand_polynomial(e)
     offending: set[tuple[str, str]] = set()

@@ -517,14 +517,34 @@ def _counting_commutator(monkeypatch) -> list:
     return calls
 
 
-def test_commute_forms_no_product_for_bindings_on_different_subsystems(monkeypatch):
+def test_commute_forms_one_cached_product_for_bindings_on_different_subsystems(monkeypatch):
     b = _mixed_bindings()
     calls = _counting_commutator(monkeypatch)
     for x in ("A0", "B0", "C0"):
         for y in ("A1", "B1"):
             assert b.commute(x, y) and b.commute(y, x)
-    assert calls == []
+    # one product per pair, whichever order asked first
+    names = {id(b.embedded(n).matrix): n for n in b.names}
+    formed = {frozenset((names[id(ma)], names[id(mb)])) for ma, mb in calls}
+    assert len(calls) == 6 and formed == {frozenset((x, y)) for x in ("A0", "B0", "C0") for y in ("A1", "B1")}
     assert max_norm(expressions.commutator(b.embedded("A0"), b.embedded("B1"))) == 0.0
+
+
+@pytest.mark.parametrize("factor_dims", [(2, 3), (6, 6), (5, 8), (16, 16)], ids=str)
+def test_bindings_on_different_subsystems_commute_by_an_exact_zero_product(factor_dims):
+    rng = make_rng(sum(factor_dims))
+    b = BindingSet({"A": (random_hermitian(factor_dims[0], rng), 0), "B": (random_hermitian(factor_dims[1], rng), 1)},
+                   factor_dims=factor_dims)
+    assert max_norm(expressions.commutator(b.embedded("A"), b.embedded("B"))) == 0.0
+    assert b.commute("A", "B") and b.commute("B", "A")
+
+
+def test_commute_pairs_a_name_with_itself_and_binds_every_name():
+    b = _mixed_bindings()
+    assert all(b.commute(n, n) for n in b.names)
+    for a, c in (("Z", "Z"), ("Z", "A0"), ("A0", "Z"), ("F", "Z")):
+        with pytest.raises(UnboundVariable, match=r"^variable 'Z' is not bound$"):
+            b.commute(a, c)
 
 
 def test_commute_matches_the_full_product_for_every_pair():
