@@ -11,6 +11,7 @@ exp(-i H k dt / alpha); the state is renormalised after each factor.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Sequence
@@ -45,8 +46,8 @@ def require_alpha(alpha: float) -> None:
 
 
 def whole_number(value, name: str) -> int:
-    """A count or seed as an int: 128 and 128.0 read as 128; 2.7, true and Infinity raise ValueError."""
-    if isinstance(value, bool) or not float(value).is_integer():
+    """A count or seed as an int: 128 and 128.0 read as 128; 2.7, true, "128" and Infinity raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 

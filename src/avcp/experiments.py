@@ -80,7 +80,7 @@ class EvolutionWindow:
     steps: int = 128
 
     def __post_init__(self):
-        if self.steps < 1:
+        if whole_number(self.steps, "steps") < 1:
             raise ValueError("steps must be >= 1")
         for t in (self.t1, self.t2):  # a time outside the schedule fails here, before any evolution
             self.schedule.restrict(self.schedule.t_start, t)

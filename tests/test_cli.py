@@ -471,6 +471,20 @@ def test_experiment_trials_and_seed_must_be_whole_numbers(tmp_path, capsys, fiel
     assert _experiment_run(tmp_path, capsys, **fields) == (1, "", f"error: ValueError: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"evolution": {"schedule": [{"t0": 0.0, "t1": 2.0, "operator": matrix_to_dict(SY)}], "t1": 1.0, "t2": 2.0,
+                        "steps": "128"}}, "steps must be a whole number, got '128'"),
+        ({"n_trials": "100"}, "n_trials must be a whole number, got '100'"),
+        ({"seed": "7"}, "seed must be a whole number, got '7'"),
+    ],
+    ids=["steps", "n_trials", "seed"],
+)
+def test_experiment_counts_written_as_strings_exit_one(tmp_path, capsys, fields, message):
+    assert _experiment_run(tmp_path, capsys, **fields) == (1, "", f"error: ValueError: {message}\n")
+
+
 def test_experiment_reads_whole_float_trials_and_seed_as_integers(tmp_path, capsys):
     rc, out, err = _experiment_run(tmp_path, capsys, n_trials=100.0, seed=4.0)
     assert rc == 0 and err == ""

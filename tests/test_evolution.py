@@ -19,6 +19,7 @@ from avcp.evolution import (
     evolved_expectation,
     propagate,
     propagator,
+    whole_number,
 )
 from avcp.kinematics import (
     _require_safe,
@@ -430,6 +431,19 @@ def test_evolve_reads_steps_through_the_whole_number_rule(sched):
     with pytest.raises(ValueError, match=r"^steps must be a whole number, got True$"):
         evolve(v, sched, True)
     assert evolve(v, sched, 2.0).amplitudes.tobytes() == evolve(v, sched, 2).amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("value", ["128", " 7 ", "1e3", None, [3]],
+                         ids=["digits", "padded", "exponent", "null", "list"])
+def test_whole_number_rejects_what_is_not_a_real_number(value):
+    with pytest.raises(ValueError, match=rf"^steps must be a whole number, got {re.escape(repr(value))}$"):
+        whole_number(value, "steps")
+
+
+@pytest.mark.parametrize("value", [np.int64(7), np.uint8(7), np.float64(7.0), np.float32(7.0)], ids=repr)
+def test_whole_number_reads_numpy_scalars(value):
+    got = whole_number(value, "steps")
+    assert got == 7 and type(got) is int
 
 
 def _faulty_drive(start, fault):

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -322,6 +323,17 @@ def test_window_steps_that_are_not_a_whole_number_are_rejected(steps):
         ExperimentSpec.from_dict(_window_spec(steps=steps))
 
 
+@pytest.mark.parametrize("steps", [True, 2.5], ids=["true", "fraction"])
+def test_window_built_in_code_rejects_steps_before_any_eigendecomposition(monkeypatch, steps):
+    calls = _counted_eigh_stack(monkeypatch)
+    rng = make_rng(259)
+    h = random_hermitian(4, rng)
+    with pytest.raises(ValueError, match=rf"^steps must be a whole number, got {steps}$"):
+        ExperimentSpec(random_state(4, rng), BindingSet({"A": h}), ["A"], "A",
+                       evolution=EvolutionWindow(HamiltonianSchedule.constant(h, 0.0, 1.0), 0.5, 1.0, steps))
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "check", [check_avcp, lambda spec: run_trials(spec, 10, 0)], ids=["check_avcp", "run_trials"]
 )
@@ -617,6 +629,30 @@ def test_spec_json_with_groups_override():
     spec = ExperimentSpec.from_dict(d)
     assert spec.plan.groups == (("A1",), ("A2",))
     assert enumerate_expectation(spec) == pytest.approx(expectation(op, state) ** 2, abs=1e-12)
+
+
+def test_spec_with_a_window_survives_the_json_round_trip():
+    rng = make_rng(30)
+    h, a, b = (random_hermitian(3, rng) for _ in range(3))
+    window = EvolutionWindow(HamiltonianSchedule.constant(h, 0.0, 1.0), 0.4, 0.9, steps=16)
+    spec = ExperimentSpec(random_state(3, rng), BindingSet({"A": a, "B": b}), ["A", "B"], "A + B", evolution=window)
+    again = ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+    assert again.to_dict() == spec.to_dict()
+    assert check_avcp(again) == check_avcp(spec)
+
+
+def test_groups_override_that_leaves_out_a_name_is_rejected():
+    sx, sy, _ = _pauli()
+    with pytest.raises(ValueError, match=r"^groups override must cover the implementation exactly$"):
+        ExperimentSpec(random_state(2, make_rng(31)), BindingSet({"A": sx, "B": sy}), ["A", "B"], "A + B",
+                       groups=[["A"]])
+
+
+def test_run_trials_needs_at_least_one_trial():
+    sx, _, _ = _pauli()
+    spec = ExperimentSpec(random_state(2, make_rng(32)), BindingSet({"A": sx}), ["A"], "A")
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        run_trials(spec, 0, 1)
 
 
 # --- one outcome tree per copy ---------------------------------------------------

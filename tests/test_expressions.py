@@ -547,6 +547,20 @@ def test_commute_pairs_a_name_with_itself_and_binds_every_name():
             b.commute(a, c)
 
 
+def test_hermitized_sum_of_a_constant_a_product_and_a_variable():
+    rng = make_rng(33)
+    ops = {"A": random_hermitian(3, rng), "B": random_hermitian(3, rng)}
+    got = quantize_hermitized(parse("2 + A*B + B"), BindingSet(ops))
+    a, b = ops["A"].matrix, ops["B"].matrix
+    m = 2 * np.eye(3) + (a @ b + b @ a) / 2 + b
+    assert np.array_equal(got.matrix, (m + m.conj().T) / 2)
+
+
+def test_quantize_needs_a_binding_to_fix_the_dimension():
+    with pytest.raises(UnboundVariable, match=r"^cannot fix a dimension from an empty binding set$"):
+        quantize(parse("2"), BindingSet({}))
+
+
 def test_commute_matches_the_full_product_for_every_pair():
     b = _mixed_bindings()
     answers = {}

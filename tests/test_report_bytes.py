@@ -96,6 +96,9 @@ CORPUS = (
     "quantize A --bindings wrapped_list.json",
     "experiment list_bindings.json",
     "verify avcp --bindings wrapped_list.json",
+    "experiment string_steps.json",
+    "experiment string_n_trials.json",
+    "experiment string_seed.json",
 )
 
 
@@ -182,6 +185,9 @@ def _write_inputs(folder: Path) -> None:
     write("string.json", "abc")
     write("wrapped_list.json", {"bindings": [1]})
     write("list_bindings.json", {**spec(3, small, "A + B", 100), "bindings": [1]})
+    write("string_steps.json", spec(3, small, "A + B", 100, evolution={**small_window, "steps": "128"}))
+    write("string_n_trials.json", spec(3, small, "A + B", "100"))
+    write("string_seed.json", {**spec(3, small, "A + B", 100), "seed": "7"})
 
 
 def _run(line: str) -> tuple[int, str, str]:
