@@ -237,7 +237,7 @@ def test_report_bytes_match_the_manifest(tmp_path):
 
 
 def _full_product_commute(self, a, b):
-    """`BindingSet.commute` without its cache or its shortcut for bindings on different subsystems."""
+    """`BindingSet.commute` without its cache: the full product of every pair of different names."""
     ma, mb = self.embedded(a).matrix, self.embedded(b).matrix
     return a == b or max_norm(commutator(ma, mb)) <= COMMUTATION_RTOL * max_norm(ma) * max_norm(mb)
 
