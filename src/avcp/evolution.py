@@ -6,20 +6,28 @@ sliced, one such factor per slice, with the Hamiltonian sampled at slice
 midpoints (second-order accurate in the slice width). Consecutive slices on
 one piece of a piecewise schedule share H, so each such run is one factor
 exp(-i H k dt / alpha); the state is renormalised after each factor.
+
+`evolve` applies a run by Lanczos (`krylov_propagate`), without
+diagonalising H, when its piece has dimension at least `KRYLOV_MIN_DIM` and
+carries no other run in that call: such an eigenbasis would serve one
+vector only. Every other run, `propagator`, `evolved_expectation` and the
+slices of a callable schedule move in H's eigenbasis.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimMismatch, ScheduleGap
+from .errors import ConvergenceFailure, DimMismatch, ScheduleGap
 from .operators import (
+    SPECTRUM_TOL,
     HermitianOperator,
     QuantumState,
     as_complex_matrix,
@@ -28,6 +36,8 @@ from .operators import (
     expectation,
     hermitian_from_matrix,
     hermitian_gate,
+    max_norm,
+    one_blas_thread,
     operator_from_dict,
     operator_to_dict,
 )
@@ -37,6 +47,14 @@ _NORM_DRIFT_TOL = 1e-12
 #: evolve samples and diagonalises a callable schedule's slices in blocks of at most this many slices and
 #: matrix entries; they bound only those stacks, since a piecewise schedule's runs cross block edges
 _BLOCK_SLICES, _BLOCK_ENTRIES = 256, 2**20
+#: from this dimension up, `evolve` applies a piece's single run by Lanczos: against an eigendecomposition made
+#: for one vector, it breaks even between d = 96 and d = 128 (random H, |H| dt / alpha about 30, one BLAS thread
+#: of a 2-core x86 host)
+KRYLOV_MIN_DIM = 128
+#: Lanczos stops once its error estimate beta_m |[exp(-i tau T_m) e_1]_m| is at most this
+_KRYLOV_TOL = 1e-14
+#: steps between two convergence checks (each an eigh of T_m), and the check step that decides the fallback
+_KRYLOV_CHECK_EVERY, _KRYLOV_SPREAD_STEP = 8, 16
 
 
 def require_alpha(alpha: float) -> None:
@@ -45,9 +63,22 @@ def require_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
 
 
+def real_number(value, name: str) -> float:
+    """A time or alpha as a float: 1 and 0.5 read; true, "0.5", null and an integer beyond the float range raise
+    ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        bits = int(value).bit_length()
+        raise ValueError(f"{name} must be below 2**1024 in magnitude, got an integer of {bits} bits") from None
+
+
 def whole_number(value, name: str) -> int:
-    """A count or seed as an int: 128 and 128.0 read as 128; 2.7, true, "128" and Infinity raise ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+    """A count or seed as an int: 128 and 128.0 read as 128; 2.7, true, "128", Infinity and an integer beyond the
+    float range raise ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not real_number(value, name).is_integer():
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
@@ -137,8 +168,9 @@ class HamiltonianSchedule:
         if isinstance(d, dict):
             alpha = d.get("alpha", alpha)
             pieces = d["pieces"]
-        require_alpha(alpha if isinstance(alpha, bool) else float(alpha))  # before any piece is decoded
-        items = [(float(p["t0"]), float(p["t1"]), operator_from_dict(p["operator"])) for p in pieces]
+        require_alpha(alpha if isinstance(alpha, bool) else real_number(alpha, "alpha"))  # before any piece
+        items = [(real_number(p["t0"], "t0"), real_number(p["t1"], "t1"), operator_from_dict(p["operator"]))
+                 for p in pieces]
         return cls.piecewise(items, alpha)
 
     def to_dict(self) -> dict:
@@ -152,7 +184,8 @@ class HamiltonianSchedule:
 
 def propagate(h: HermitianOperator, dt: float, amps: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     """exp(-i H dt / alpha) applied to a vector or to the columns of a matrix, O(d^2) per vector:
-    rotate into H's cached eigenbasis, one phase per eigenvalue, rotate back."""
+    rotate into H's cached eigenbasis, one phase per eigenvalue, rotate back. The first call on H pays
+    its eigendecomposition; `evolve` calls `krylov_propagate` instead where that would serve one vector."""
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
     if dt == 0.0:
@@ -162,6 +195,46 @@ def propagate(h: HermitianOperator, dt: float, amps: np.ndarray, alpha: float = 
     return s.eigenvectors @ (phases * (s.eigenvectors.conj().T @ amps).T).T
 
 
+def krylov_propagate(h: HermitianOperator, dt: float, amps: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+    """exp(-i H dt / alpha) applied to the vector `amps` without diagonalising H, on one BLAS thread.
+
+    Lanczos with full reorthogonalisation builds T_m = V^dag H V on the Krylov basis V of `amps`, checking
+    every few steps, through an eigh of T_m, whether beta_m |[exp(-i tau T_m) e_1]_m| <= 1e-14 (tau = dt /
+    alpha); it also stops when the Krylov space is invariant (beta_m <= 1e-14). At step 16 the Ritz values
+    bound the steps needed, e (theta_max - theta_min) |tau| / 4 + 30; above d / 2 it falls back to
+    `propagate`, as it does when d / 2 steps did not converge. Raises ConvergenceFailure unless
+    max|V^dag V - I| <= SPECTRUM_TOL."""
+    if dt == 0.0 or not np.isfinite(dt):
+        return propagate(h, dt, amps, alpha)
+    tau, cap = dt / alpha, h.dim // 2
+    beta0 = float(np.linalg.norm(amps))
+    basis = np.empty((cap + 1, h.dim), dtype=complex)  # row j is v_j
+    basis[0] = amps / beta0
+    diag, off = np.empty(cap), np.empty(cap)
+    with one_blas_thread():
+        for j in range(cap):
+            w = h.matrix @ basis[j]
+            diag[j] = np.vdot(basis[j], w).real
+            w -= diag[j] * basis[j]
+            if j:
+                w -= off[j - 1] * basis[j - 1]
+            w -= (basis[: j + 1] @ w.conj()).conj() @ basis[: j + 1]  # against every earlier v
+            off[j] = np.linalg.norm(w)
+            m = j + 1
+            invariant = off[j] <= _KRYLOV_TOL
+            if invariant or m % _KRYLOV_CHECK_EVERY == 0:
+                theta, s = np.linalg.eigh(np.diag(diag[:m]) + np.diag(off[:j], 1) + np.diag(off[:j], -1))
+                u = s @ (np.exp(-1j * tau * theta) * s[0])  # exp(-i tau T_m) e_1
+                if invariant or off[j] * abs(u[-1]) <= _KRYLOV_TOL:
+                    if max_norm(basis[:m].conj() @ basis[:m].T - np.eye(m)) > SPECTRUM_TOL:
+                        raise ConvergenceFailure("Krylov basis is not orthonormal")
+                    return beta0 * (u @ basis[:m])
+                if m == _KRYLOV_SPREAD_STEP and math.e * (theta[-1] - theta[0]) * abs(tau) / 4 + 30 > cap:
+                    break
+            basis[m] = w / off[j]
+    return propagate(h, dt, amps, alpha)
+
+
 def propagator(h: HermitianOperator, dt: float, alpha: float = 1.0) -> np.ndarray:
     """Unitary exp(-i H dt / alpha) as a matrix: `propagate` applied to the identity."""
     return propagate(h, dt, np.eye(h.dim, dtype=complex), alpha)
@@ -169,8 +242,9 @@ def propagator(h: HermitianOperator, dt: float, alpha: float = 1.0) -> np.ndarra
 
 def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumState:
     """Propagate across the schedule span with `steps` midpoint-sampled slices. Each run of consecutive
-    slices on one piece is one propagation; a callable schedule is sampled and diagonalised in blocks,
-    so its `fn` may run up to one block ahead of propagation. The state is renormalised after each
+    slices on one piece is one propagation: `krylov_propagate` when the piece has dimension at least
+    KRYLOV_MIN_DIM and no other run, else `propagate`. A callable schedule is sampled and diagonalised in
+    blocks, so its `fn` may run up to one block ahead of propagation. The state is renormalised after each
     propagation."""
     steps = whole_number(steps, "steps")
     if steps < 1:
@@ -183,8 +257,12 @@ def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumSt
     amps = np.array(v.amplitudes, dtype=complex)
     dt = span / steps
     if sched.fn is None:  # every slice of a run shares one H: k slices are exp(-i H k dt / alpha)
-        for h, run in groupby(sched.at(sched.t_start + (k + 0.5) * dt) for k in range(steps)):
-            amps = _renormalised(propagate(h, sum(1 for _ in run) * dt, amps, sched.alpha))
+        mids = (sched.t_start + (k + 0.5) * dt for k in range(steps))
+        runs = [(h, sum(1 for _ in run)) for h, run in groupby(map(sched.at, mids))]
+        runs_on = Counter(h for h, _ in runs)  # a piece with one run would use its eigenbasis once
+        for h, count in runs:
+            step = krylov_propagate if h.dim >= KRYLOV_MIN_DIM and runs_on[h] == 1 else propagate
+            amps = _renormalised(step(h, count * dt, amps, sched.alpha))
         return QuantumState(amps, v.factor_dims)
     block = max(1, min(_BLOCK_SLICES, _BLOCK_ENTRIES // v.dim**2))
     for start in range(0, steps, block):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import DimMismatch, StateSpaceTooLarge, UnboundVariable
-from .evolution import HamiltonianSchedule, evolve, whole_number
+from .evolution import HamiltonianSchedule, evolve, real_number, whole_number
 from .expressions import BindingSet
 from .operators import QuantumState, born_split, expectation, inverse_cdf, make_rng, state_from_dict, state_to_dict
 
@@ -93,7 +93,8 @@ class EvolutionWindow:
     def from_dict(cls, d: dict, alpha: float = 1.0) -> "EvolutionWindow":
         schedule = d["schedule"]  # read first, so that a window that is not an object is a TypeError
         steps = whole_number(d.get("steps", 128), "steps")
-        return cls(HamiltonianSchedule.from_dict(schedule, alpha), float(d["t1"]), float(d["t2"]), steps)
+        return cls(HamiltonianSchedule.from_dict(schedule, alpha), real_number(d["t1"], "t1"),
+                   real_number(d["t2"], "t2"), steps)
 
     def to_dict(self) -> dict:
         return {

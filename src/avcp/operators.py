@@ -9,6 +9,7 @@ platform.  All tolerance checks use the max-norm (largest entry magnitude).
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import json
@@ -221,6 +222,19 @@ def _openblas_threads():
     return get, put
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body on one thread of numpy's bundled OpenBLAS, then restore the thread count: from d = 97 up
+    eigenvectors, and products that feed them, change in the last bits with the thread count."""
+    get_threads, set_threads = _openblas_threads()
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
 def eigh_stack(a: np.ndarray):
     """Eigenvalues (n, d), eigenvectors (n, d, d), outcome groups and group values of an (n, d, d) Hermitian stack.
 
@@ -230,15 +244,11 @@ def eigh_stack(a: np.ndarray):
     Raises ConvergenceFailure if any matrix fails a gate."""
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise DimMismatch(f"expected a stack of square matrices, got shape {a.shape}")
-    get_threads, set_threads = _openblas_threads()
-    threads = get_threads()
     try:
-        set_threads(1)
-        eigenvalues, vectors = np.linalg.eigh(a)
+        with one_blas_thread():
+            eigenvalues, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in practice
         raise ConvergenceFailure(str(exc)) from None
-    finally:
-        set_threads(threads)
     n, d = eigenvalues.shape
     if d:
         # a unit column always has an entry of at least 1/sqrt(d), far above the cutoff;

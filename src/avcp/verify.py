@@ -276,7 +276,9 @@ def _suite_kinematics(seed: int, alpha: float, levels: int, dims) -> Iterator[di
     yield _check("defect_diagonal_dust", worst_diag, 1e-13 * max(1.0, alpha))
     yield _check("defect_corner_value", worst_corner, 1e-12)
 
-    f = build_fock(max(16, levels), alpha)
+    # the coherent state's weight on the top level is 1.3e-10 at 18 levels, above the 1e-10 safety gate; 19 is
+    # the fewest levels at which it passes, whatever alpha
+    f = build_fock(max(19, levels), alpha)
     state = coherent_state(f, 1.1 + 0.3j)
     yield _check("coherent_state_is_safe", boundary_weight(state), 1e-10)
     yield _check("displacement_shifts_x", displacement_shift_residual(f, state, 0.1), 1e-6)

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from avcp import demos as demo_mod
+from avcp import evolution
 from avcp import expressions as ex
 from avcp import verify as verify_mod
 from avcp.cli import _build_parser, entry, main
-from avcp.evolution import HamiltonianSchedule
+from avcp.evolution import HamiltonianSchedule, evolve, propagate
 from avcp.experiments import ExperimentSpec
 from avcp.expressions import BindingSet
 from avcp.operators import (
@@ -464,8 +465,9 @@ def _experiment_run(tmp_path, capsys, *flags, **fields):
         ({"n_trials": 2.7}, "n_trials must be a whole number, got 2.7"),
         ({"seed": True}, "seed must be a whole number, got True"),
         ({"seed": 1.5}, "seed must be a whole number, got 1.5"),
+        ({"n_trials": 10**400}, "n_trials must be below 2**1024 in magnitude, got an integer of 1329 bits"),
     ],
-    ids=["fractional_trials", "bool_seed", "fractional_seed"],
+    ids=["fractional_trials", "bool_seed", "fractional_seed", "oversized_trials"],
 )
 def test_experiment_trials_and_seed_must_be_whole_numbers(tmp_path, capsys, fields, message):
     assert _experiment_run(tmp_path, capsys, **fields) == (1, "", f"error: ValueError: {message}\n")
@@ -483,6 +485,32 @@ def test_experiment_trials_and_seed_must_be_whole_numbers(tmp_path, capsys, fiel
 )
 def test_experiment_counts_written_as_strings_exit_one(tmp_path, capsys, fields, message):
     assert _experiment_run(tmp_path, capsys, **fields) == (1, "", f"error: ValueError: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "schedule_alpha, times, message",
+    [
+        ("0.5", {}, "alpha must be a real number, got '0.5'"),
+        (None, {"t1": True}, "t1 must be a real number, got True"),
+        (None, {"t2": " 1 "}, "t2 must be a real number, got ' 1 '"),
+    ],
+    ids=["string_alpha", "bool_t1", "string_t2"],
+)
+def test_window_times_and_alpha_that_are_not_json_numbers_exit_one(tmp_path, capsys, schedule_alpha, times, message):
+    pieces = [{"t0": 0.0, "t1": 2.0, "operator": matrix_to_dict(SY)}]
+    schedule = pieces if schedule_alpha is None else {"alpha": schedule_alpha, "pieces": pieces}
+    window = {"schedule": schedule, "t1": 1.0, "t2": 2.0, **times}
+    assert _experiment_run(tmp_path, capsys, evolution=window) == (1, "", f"error: ValueError: {message}\n")
+
+
+def test_evolve_with_an_oversized_step_count_exits_one_naming_steps(tmp_path, capsys):
+    (tmp_path / "state.json").write_text(json.dumps({"dim": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]}))
+    (tmp_path / "sched.json").write_text(json.dumps([{"t0": 0.0, "t1": 1.0, "operator": matrix_to_dict(SX)}]))
+    rc = main(["evolve", "--state", str(tmp_path / "state.json"), "--schedule", str(tmp_path / "sched.json"),
+               "--steps", "1" + "0" * 400])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err == "error: ValueError: steps must be below 2**1024 in magnitude, got an integer of 1329 bits\n"
 
 
 def test_experiment_reads_whole_float_trials_and_seed_as_integers(tmp_path, capsys):
@@ -533,12 +561,19 @@ def test_a_bool_schedule_alpha_exits_one_with_the_alpha_line(tmp_path, capsys, c
     assert got == (1, "", "error: ValueError: alpha must be finite and positive, got True\n")
 
 
-def test_evolve_bytes_do_not_depend_on_blas_threads(tmp_path):
+@pytest.mark.parametrize("d, alpha, krylov", [(64, 1.0, False), (256, 1.0, True), (256, 0.3, False)],
+                         ids=["d64", "d256_krylov", "d256_fallback"])
+def test_evolve_bytes_do_not_depend_on_blas_threads(tmp_path, monkeypatch, d, alpha, krylov):
     rng = make_rng(65)
     state_path = tmp_path / "state.json"
     sched_path = tmp_path / "sched.json"
-    state_path.write_text(json.dumps(state_to_dict(random_state(64, rng))))
-    sched_path.write_text(json.dumps(HamiltonianSchedule.constant(random_hermitian(64, rng), 0.0, 2.0).to_dict()))
+    v, sched = random_state(d, rng), HamiltonianSchedule.constant(random_hermitian(d, rng), 0.0, 2.0, alpha)
+    state_path.write_text(json.dumps(state_to_dict(v)))
+    sched_path.write_text(json.dumps(sched.to_dict()))
+    propagations = []
+    monkeypatch.setattr(evolution, "propagate", lambda *a: propagations.append(a) or propagate(*a))
+    evolve(v, sched, 128)
+    assert len(propagations) == (not krylov)  # the path this input takes
     outs = []
     for threads in ("1", "2", "4"):
         env = {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}

@@ -9,16 +9,19 @@ import scipy.linalg
 import avcp.angular
 import avcp.evolution
 import avcp.kinematics
+import avcp.operators
 from avcp.angular import check_frame_rotation_covariance, check_rotation_identity, spin_operators
-from avcp.errors import AvcpError, DimMismatch, ScheduleGap
+from avcp.errors import AvcpError, ConvergenceFailure, DimMismatch, ScheduleGap
 from avcp.evolution import (
     HamiltonianSchedule,
     check_ehrenfest,
     check_energy_conservation,
     evolve,
     evolved_expectation,
+    krylov_propagate,
     propagate,
     propagator,
+    real_number,
     whole_number,
 )
 from avcp.kinematics import (
@@ -446,6 +449,33 @@ def test_whole_number_reads_numpy_scalars(value):
     assert got == 7 and type(got) is int
 
 
+@pytest.mark.parametrize("value", ["0.5", " 1 ", True, None, [1]], ids=["digits", "padded", "true", "null", "list"])
+def test_real_number_rejects_what_is_not_a_real_number(value):
+    with pytest.raises(ValueError, match=rf"^t1 must be a real number, got {re.escape(repr(value))}$"):
+        real_number(value, "t1")
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), np.int64(2), 2], ids=repr)
+def test_real_number_reads_python_and_numpy_numbers(value):
+    got = real_number(value, "t1")
+    assert got == float(value) and type(got) is float
+
+
+@pytest.mark.parametrize("read", [whole_number, real_number])
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["large", "large_negative"])
+def test_an_integer_beyond_the_float_range_is_a_value_error_naming_the_field(read, value):
+    with pytest.raises(ValueError, match=r"^steps must be below 2\*\*1024 in magnitude, got an integer of 1329 bits$"):
+        read(value, "steps")
+
+
+@pytest.mark.parametrize("field, value", [("alpha", "0.5"), ("t0", "0"), ("t1", True)])
+def test_schedule_times_and_alpha_are_read_only_from_json_numbers(field, value):
+    d = HamiltonianSchedule.constant(HermitianOperator(SZ), 0.0, 1.0).to_dict()
+    (d if field == "alpha" else d["pieces"][0])[field] = value
+    with pytest.raises(ValueError, match=rf"^{field} must be a real number, got {re.escape(repr(value))}$"):
+        HamiltonianSchedule.from_dict(d)
+
+
 def _faulty_drive(start, fault):
     """A d = 3 linear drive over [0, 1] whose slices from t = `start` on are `fault(t, matrix)`. Run with
     600 slices in blocks of 256, start 0.6 puts the first faulty slice (slice 360) inside the second block."""
@@ -473,6 +503,92 @@ def test_evolve_raises_what_the_earlier_slice_loop_raised(name):
         evolve(v, sched, 600)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
+
+
+# --- a piece's single run at d >= 128: Lanczos instead of an eigendecomposition ---------
+
+
+def _counting(monkeypatch, module, name):
+    """Record the arguments of each call of `module.name`, which still runs."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def _krylov_case(name, rng):
+    """(H, state) of one oracle input; the eigenvector state is H's eighth eigenvector."""
+    d = 128 if name.startswith("random_d128") else 256
+    v = random_state(d, rng).amplitudes
+    if name.startswith("random"):
+        return random_hermitian(d, rng), v
+    if name.startswith("fock_x"):
+        return build_fock(d).x_op, v
+    if name == "diagonal":
+        return HermitianOperator(np.diag(rng.normal(size=d))), v
+    if name == "degenerate":  # three d/3-fold eigenvalues: the Krylov space is invariant from step 3
+        q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        m = (q * (np.arange(d) % 3 - 1.0)) @ q.conj().T
+        return HermitianOperator((m + m.conj().T) / 2), v
+    if name == "scalar":
+        return HermitianOperator(3.0 * np.eye(d)), v
+    h = random_hermitian(d, rng)
+    return h, np.linalg.eigh(h.matrix)[1][:, 7]
+
+
+@pytest.mark.parametrize("name, tau, falls_back", [
+    ("random_d128", 1.0, False),
+    ("random_d128_wide", 2.0, True),
+    ("random_d256", 2.0, False),
+    ("random_d256_wide", 3.3, True),
+    ("fock_x", 1.0, False),
+    ("fock_x_wide", 3.0, False),
+    ("diagonal", 1.0, False),
+    ("degenerate", 1.0, False),
+    ("scalar", 1.0, False),
+    ("eigenvector", 1.0, False),
+])
+def test_krylov_propagate_matches_scipy_expm(name, tau, falls_back, monkeypatch):
+    h, v = _krylov_case(name, make_rng(91))
+    calls = _counting(monkeypatch, avcp.evolution, "propagate")
+    got = krylov_propagate(h, tau * 0.5, v, 0.5)
+    assert np.abs(got - scipy.linalg.expm(-1j * tau * h.matrix) @ v).max() <= 1e-12
+    assert len(calls) == falls_back
+
+
+def test_krylov_propagate_raises_when_its_basis_is_not_orthonormal(monkeypatch):
+    rng = make_rng(92)
+    h, v = random_hermitian(256, rng), random_state(256, rng).amplitudes
+    monkeypatch.setattr(avcp.evolution, "SPECTRUM_TOL", 0.0)
+    with pytest.raises(ConvergenceFailure, match=r"^Krylov basis is not orthonormal$"):
+        krylov_propagate(h, 1.0, v)
+
+
+def test_evolve_diagonalises_only_pieces_it_uses_more_than_once(monkeypatch):
+    rng = make_rng(93)
+    h0, h1, h2 = (random_hermitian(256, rng) for _ in range(3))
+    v = random_state(256, rng)
+    calls = _counting(monkeypatch, avcp.operators, "eigh_stack")
+    one_piece = HamiltonianSchedule.constant(h0, 0.0, 1.0)
+    assert np.abs(evolve(v, one_piece, 128).amplitudes - _expm_over_runs(v, one_piece, 128)).max() <= 1e-12
+    assert len(calls) == 0
+    alternating = HamiltonianSchedule.piecewise([(0.0, 0.25, h0), (0.25, 0.5, h1), (0.5, 0.75, h0), (0.75, 1.0, h1)])
+    assert evolve(v, alternating, 128).amplitudes.tobytes() == _run_reference_evolve(v, alternating, 128).tobytes()
+    assert len(calls) == 2
+    wide = HamiltonianSchedule.constant(h2, 0.0, 1.0, 0.3)  # falls back at step 16
+    assert evolve(v, wide, 128).amplitudes.tobytes() == _run_reference_evolve(v, wide, 128).tobytes()
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("d, krylov", [(127, False), (128, True)])
+def test_evolve_takes_the_krylov_path_from_d_128_whatever_is_cached(d, krylov, monkeypatch):
+    rng = make_rng(94)
+    h, v = random_hermitian(d, rng), random_state(d, rng)
+    sched = HamiltonianSchedule.constant(h, 0.0, 1.0)
+    fresh = evolve(v, sched, 64).amplitudes
+    h.spectrum  # a cached eigenbasis does not change the path
+    calls = _counting(monkeypatch, avcp.evolution, "propagate")
+    assert evolve(v, sched, 64).amplitudes.tobytes() == fresh.tobytes()
+    assert len(calls) == (not krylov)
 
 
 # --- schedules and evolve ----------------------------------------------------------
