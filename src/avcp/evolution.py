@@ -7,18 +7,19 @@ midpoints (second-order accurate in the slice width). Consecutive slices on
 one piece of a piecewise schedule share H, so each such run is one factor
 exp(-i H k dt / alpha); the state is renormalised after each factor.
 
-`evolve` applies a run by Lanczos (`krylov_propagate`), without
-diagonalising H, when its piece has dimension at least `KRYLOV_MIN_DIM` and
-carries no other run in that call: such an eigenbasis would serve one
-vector only. Every other run, `propagator`, `evolved_expectation` and the
-slices of a callable schedule move in H's eigenbasis.
+`evolve` applies the runs on a piece of dimension at least
+`KRYLOV_MIN_DIM` by Lanczos, without diagonalising H, while the Lanczos step
+bound summed over the piece's runs stays within d / 2 (`evolve_each`
+sums it over several schedules, as an experiment window's two legs). A
+piece past the bound falls back to its eigenbasis, which then serves its
+remaining runs. Every other run, `propagator`, `evolved_expectation` and
+the slices of a callable schedule move in H's eigenbasis.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Sequence
@@ -47,14 +48,20 @@ _NORM_DRIFT_TOL = 1e-12
 #: evolve samples and diagonalises a callable schedule's slices in blocks of at most this many slices and
 #: matrix entries; they bound only those stacks, since a piecewise schedule's runs cross block edges
 _BLOCK_SLICES, _BLOCK_ENTRIES = 256, 2**20
-#: from this dimension up, `evolve` applies a piece's single run by Lanczos: against an eigendecomposition made
+#: from this dimension up, `evolve` applies a piece's runs by Lanczos: against an eigendecomposition made
 #: for one vector, it breaks even between d = 96 and d = 128 (random H, |H| dt / alpha about 30, one BLAS thread
 #: of a 2-core x86 host)
 KRYLOV_MIN_DIM = 128
 #: Lanczos stops once its error estimate beta_m |[exp(-i tau T_m) e_1]_m| is at most this
 _KRYLOV_TOL = 1e-14
-#: steps between two convergence checks (each an eigh of T_m), and the check step that decides the fallback
+#: steps between two convergence checks (each an eigh of T_m), and the last check step that may decide the
+#: fallback: the Ritz values' spread only grows with the step, so a bound past the cap at step 8 stays past it
 _KRYLOV_CHECK_EVERY, _KRYLOV_SPREAD_STEP = 8, 16
+#: a run's Lanczos step bound is e (theta_max - theta_min) |tau| / 4 plus this (a run of |H| tau = 1 to 120 takes
+#: 16 to 104 steps); a piece whose runs' bounds sum past d / 2 keeps its eigenbasis. At d = 256 that admits at
+#: most 4 runs: Lanczos on every run of two alternating random pieces, each run converging, beat the two
+#: eigenbases up to 16 runs each at alpha 1 but lost at 64 runs, and from 4 runs at alpha 0.1
+_KRYLOV_RUN_STEPS = 30
 
 
 def require_alpha(alpha: float) -> None:
@@ -72,7 +79,7 @@ def real_number(value, name: str) -> float:
         return float(value)
     except OverflowError:
         bits = int(value).bit_length()
-        raise ValueError(f"{name} must be below 2**1024 in magnitude, got an integer of {bits} bits") from None
+        raise ValueError(f"{name} is too large for a float, got an integer of {bits} bits") from None
 
 
 def whole_number(value, name: str) -> int:
@@ -185,7 +192,8 @@ class HamiltonianSchedule:
 def propagate(h: HermitianOperator, dt: float, amps: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     """exp(-i H dt / alpha) applied to a vector or to the columns of a matrix, O(d^2) per vector:
     rotate into H's cached eigenbasis, one phase per eigenvalue, rotate back. The first call on H pays
-    its eigendecomposition; `evolve` calls `krylov_propagate` instead where that would serve one vector."""
+    its eigendecomposition; `evolve` applies a piece of dimension at least KRYLOV_MIN_DIM by Lanczos
+    instead, unless its runs are too many or too long for that."""
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
     if dt == 0.0:
@@ -196,17 +204,24 @@ def propagate(h: HermitianOperator, dt: float, amps: np.ndarray, alpha: float = 
 
 
 def krylov_propagate(h: HermitianOperator, dt: float, amps: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-    """exp(-i H dt / alpha) applied to the vector `amps` without diagonalising H, on one BLAS thread.
+    """exp(-i H dt / alpha) applied to the vector `amps` by `_lanczos`, without diagonalising H, or by
+    `propagate` where Lanczos gives up."""
+    out = _lanczos(h, dt / alpha, amps, [abs(dt / alpha)])
+    return propagate(h, dt, amps, alpha) if out is None else out
+
+
+def _lanczos(h: HermitianOperator, tau: float, amps: np.ndarray, pending: list[float]) -> np.ndarray | None:
+    """exp(-i tau H) applied to the vector `amps` on one BLAS thread, or None where `propagate` should.
 
     Lanczos with full reorthogonalisation builds T_m = V^dag H V on the Krylov basis V of `amps`, checking
-    every few steps, through an eigh of T_m, whether beta_m |[exp(-i tau T_m) e_1]_m| <= 1e-14 (tau = dt /
-    alpha); it also stops when the Krylov space is invariant (beta_m <= 1e-14). At step 16 the Ritz values
-    bound the steps needed, e (theta_max - theta_min) |tau| / 4 + 30; above d / 2 it falls back to
-    `propagate`, as it does when d / 2 steps did not converge. Raises ConvergenceFailure unless
-    max|V^dag V - I| <= SPECTRUM_TOL."""
-    if dt == 0.0 or not np.isfinite(dt):
-        return propagate(h, dt, amps, alpha)
-    tau, cap = dt / alpha, h.dim // 2
+    every few steps, through an eigh of T_m, whether beta_m |[exp(-i tau T_m) e_1]_m| <= 1e-14; it also
+    stops when the Krylov space is invariant (beta_m <= 1e-14). `pending` holds |tau| of this run and of
+    the piece's later runs: at steps 8 and 16 the Ritz values bound their steps, e (theta_max - theta_min)
+    sum(pending) / 4 + 30 per run, and above d / 2 it gives up, as it does when d / 2 steps did not
+    converge or tau is zero or not finite. Raises ConvergenceFailure unless max|V^dag V - I| <= SPECTRUM_TOL."""
+    if tau == 0.0 or not np.isfinite(tau):
+        return None
+    cap = h.dim // 2
     beta0 = float(np.linalg.norm(amps))
     basis = np.empty((cap + 1, h.dim), dtype=complex)  # row j is v_j
     basis[0] = amps / beta0
@@ -229,10 +244,15 @@ def krylov_propagate(h: HermitianOperator, dt: float, amps: np.ndarray, alpha: f
                     if max_norm(basis[:m].conj() @ basis[:m].T - np.eye(m)) > SPECTRUM_TOL:
                         raise ConvergenceFailure("Krylov basis is not orthonormal")
                     return beta0 * (u @ basis[:m])
-                if m == _KRYLOV_SPREAD_STEP and math.e * (theta[-1] - theta[0]) * abs(tau) / 4 + 30 > cap:
-                    break
+                if m <= _KRYLOV_SPREAD_STEP and _krylov_steps(theta[-1] - theta[0], pending) > cap:
+                    return None
             basis[m] = w / off[j]
-    return propagate(h, dt, amps, alpha)
+    return None
+
+
+def _krylov_steps(spread: float, taus: list[float]) -> float:
+    """Bound on the Lanczos steps of runs of |tau| `taus` on a piece whose spectrum spans `spread`."""
+    return math.e * spread * sum(taus) / 4 + _KRYLOV_RUN_STEPS * len(taus)
 
 
 def propagator(h: HermitianOperator, dt: float, alpha: float = 1.0) -> np.ndarray:
@@ -240,12 +260,31 @@ def propagator(h: HermitianOperator, dt: float, alpha: float = 1.0) -> np.ndarra
     return propagate(h, dt, np.eye(h.dim, dtype=complex), alpha)
 
 
-def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumState:
+def _runs(sched: HamiltonianSchedule, steps: int) -> list[tuple[HermitianOperator, float]]:
+    """(piece, k dt) for each run of k consecutive midpoint slices on one piece of a piecewise schedule."""
+    dt = (sched.t_end - sched.t_start) / steps
+    mids = (sched.t_start + (k + 0.5) * dt for k in range(steps))
+    return [(h, sum(1 for _ in run) * dt) for h, run in groupby(map(sched.at, mids))]
+
+
+def _lanczos_budget(legs) -> dict:
+    """{piece: |tau| of each of its runs} from (runs, alpha) pairs, over the pieces of dimension at least
+    KRYLOV_MIN_DIM whose runs' step bound could stay within d / 2."""
+    budget: dict = {}
+    for runs, alpha in legs:
+        for h, dt in runs:
+            if h.dim >= KRYLOV_MIN_DIM:
+                budget.setdefault(h, []).append(abs(dt / alpha))
+    return {h: taus for h, taus in budget.items() if _krylov_steps(0.0, taus) <= h.dim // 2}
+
+
+def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int, budget: dict | None = None) -> QuantumState:
     """Propagate across the schedule span with `steps` midpoint-sampled slices. Each run of consecutive
-    slices on one piece is one propagation: `krylov_propagate` when the piece has dimension at least
-    KRYLOV_MIN_DIM and no other run, else `propagate`. A callable schedule is sampled and diagonalised in
-    blocks, so its `fn` may run up to one block ahead of propagation. The state is renormalised after each
-    propagation."""
+    slices on one piece is one propagation: by `_lanczos` while the piece is in the Lanczos `budget`, else
+    by `propagate`. A piece leaves the budget where Lanczos gives up, so its eigenbasis serves its later
+    runs. `budget` is the one `evolve_each` shares between schedules; by default it is this schedule's
+    own. A callable schedule is sampled and diagonalised in blocks, so its `fn` may run up to one block
+    ahead of propagation. The state is renormalised after each propagation."""
     steps = whole_number(steps, "steps")
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -257,12 +296,17 @@ def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumSt
     amps = np.array(v.amplitudes, dtype=complex)
     dt = span / steps
     if sched.fn is None:  # every slice of a run shares one H: k slices are exp(-i H k dt / alpha)
-        mids = (sched.t_start + (k + 0.5) * dt for k in range(steps))
-        runs = [(h, sum(1 for _ in run)) for h, run in groupby(map(sched.at, mids))]
-        runs_on = Counter(h for h, _ in runs)  # a piece with one run would use its eigenbasis once
-        for h, count in runs:
-            step = krylov_propagate if h.dim >= KRYLOV_MIN_DIM and runs_on[h] == 1 else propagate
-            amps = _renormalised(step(h, count * dt, amps, sched.alpha))
+        runs = _runs(sched, steps)
+        budget = _lanczos_budget([(runs, sched.alpha)]) if budget is None else budget
+        for h, run_dt in runs:
+            taus = budget.pop(h, None)  # back only if Lanczos does this run
+            out = None if taus is None else _lanczos(h, run_dt / sched.alpha, amps, taus)
+            if out is None:
+                amps = _renormalised(propagate(h, run_dt, amps, sched.alpha))
+            else:
+                taus.remove(abs(run_dt / sched.alpha))
+                budget[h] = taus
+                amps = _renormalised(out)
         return QuantumState(amps, v.factor_dims)
     block = max(1, min(_BLOCK_SLICES, _BLOCK_ENTRIES // v.dim**2))
     for start in range(0, steps, block):
@@ -278,6 +322,16 @@ def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumSt
         for phases, vecs in zip(np.exp(-1j * values * (dt / sched.alpha)), vectors):
             amps = _renormalised(vecs @ (phases * (vecs.conj().T @ amps)))
     return QuantumState(amps, v.factor_dims)
+
+
+def evolve_each(v: QuantumState, scheds: Sequence[HamiltonianSchedule], steps: int) -> list[QuantumState]:
+    """`evolve` of `v` along each schedule, in order, sharing one Lanczos budget: a piece that several
+    schedules use, as the two legs of an experiment window do, makes one path choice for all its runs."""
+    steps = whole_number(steps, "steps")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    budget = _lanczos_budget((_runs(s, steps), s.alpha) for s in scheds if s.fn is None and s.t_end != s.t_start)
+    return [evolve(v, sched, steps, budget) for sched in scheds]
 
 
 def _renormalised(amps: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import DimMismatch, StateSpaceTooLarge, UnboundVariable
-from .evolution import HamiltonianSchedule, evolve, real_number, whole_number
+from .evolution import HamiltonianSchedule, evolve_each, real_number, whole_number
 from .expressions import BindingSet
 from .operators import QuantumState, born_split, expectation, inverse_cdf, make_rng, state_from_dict, state_to_dict
 
@@ -85,9 +85,13 @@ class EvolutionWindow:
         for t in (self.t1, self.t2):  # a time outside the schedule fails here, before any evolution
             self.schedule.restrict(self.schedule.t_start, t)
 
-    def state_at(self, v0: QuantumState, t: float) -> QuantumState:
-        sub = self.schedule.restrict(self.schedule.t_start, t)
-        return evolve(v0, sub, self.steps)
+    def states(self, v0: QuantumState) -> tuple[QuantumState, QuantumState]:
+        """`v0` evolved to t1 and to t2, each from the schedule start in `steps` slices. The two legs share
+        their pieces' Lanczos budget, so a piece takes one path in both."""
+        start = self.schedule.t_start
+        legs = [self.schedule.restrict(start, t) for t in dict.fromkeys((self.t1, self.t2))]
+        states = evolve_each(v0, legs, self.steps)
+        return states[0], states[-1]
 
     @classmethod
     def from_dict(cls, d: dict, alpha: float = 1.0) -> "EvolutionWindow":
@@ -133,7 +137,6 @@ class ExperimentSpec:
         self.f = ex.parse(f) if isinstance(f, str) else f
         self.target = target
         self.evolution = evolution
-        self._evolved: dict[float, QuantumState] = {}
         if initial_state.dim != bindings.dim:
             raise DimMismatch(f"state dim {initial_state.dim} does not match bindings dim {bindings.dim}")
         for name in self.implementation:
@@ -157,16 +160,17 @@ class ExperimentSpec:
                     raise ValueError(f"override groups {a!r} and {b!r} together but they do not commute")
 
     def state_at_t1(self) -> QuantumState:
-        return self._state_at(self.evolution.t1) if self.evolution else self.initial_state
+        return self._evolved[0]
 
     def state_at_t2(self) -> QuantumState:
-        return self._state_at(self.evolution.t2) if self.evolution else self.initial_state
+        return self._evolved[1]
 
-    def _state_at(self, t: float) -> QuantumState:
-        """The initial state evolved to `t`; each time is evolved to once per spec."""
-        if t not in self._evolved:
-            self._evolved[t] = self.evolution.state_at(self.initial_state, t)
-        return self._evolved[t]
+    @functools.cached_property
+    def _evolved(self) -> tuple[QuantumState, QuantumState]:
+        """The initial state at t1 and at t2; each time is evolved to once per spec."""
+        if self.evolution is None:
+            return self.initial_state, self.initial_state
+        return self.evolution.states(self.initial_state)
 
     @functools.cached_property
     def _trees(self) -> list:

@@ -465,7 +465,7 @@ def _experiment_run(tmp_path, capsys, *flags, **fields):
         ({"n_trials": 2.7}, "n_trials must be a whole number, got 2.7"),
         ({"seed": True}, "seed must be a whole number, got True"),
         ({"seed": 1.5}, "seed must be a whole number, got 1.5"),
-        ({"n_trials": 10**400}, "n_trials must be below 2**1024 in magnitude, got an integer of 1329 bits"),
+        ({"n_trials": 10**400}, "n_trials is too large for a float, got an integer of 1329 bits"),
     ],
     ids=["fractional_trials", "bool_seed", "fractional_seed", "oversized_trials"],
 )
@@ -510,7 +510,7 @@ def test_evolve_with_an_oversized_step_count_exits_one_naming_steps(tmp_path, ca
                "--steps", "1" + "0" * 400])
     captured = capsys.readouterr()
     assert (rc, captured.out) == (1, "")
-    assert captured.err == "error: ValueError: steps must be below 2**1024 in magnitude, got an integer of 1329 bits\n"
+    assert captured.err == "error: ValueError: steps is too large for a float, got an integer of 1329 bits\n"
 
 
 def test_experiment_reads_whole_float_trials_and_seed_as_integers(tmp_path, capsys):

@@ -17,6 +17,7 @@ from avcp.evolution import (
     check_ehrenfest,
     check_energy_conservation,
     evolve,
+    evolve_each,
     evolved_expectation,
     krylov_propagate,
     propagate,
@@ -462,10 +463,15 @@ def test_real_number_reads_python_and_numpy_numbers(value):
 
 
 @pytest.mark.parametrize("read", [whole_number, real_number])
-@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["large", "large_negative"])
-def test_an_integer_beyond_the_float_range_is_a_value_error_naming_the_field(read, value):
-    with pytest.raises(ValueError, match=r"^steps must be below 2\*\*1024 in magnitude, got an integer of 1329 bits$"):
+@pytest.mark.parametrize("value, bits", [(10**400, 1329), (-(10**400), 1329), (2**1024 - 1, 1024)],
+                         ids=["large", "large_negative", "rounds_up_to_2**1024"])
+def test_an_integer_beyond_the_float_range_is_a_value_error_naming_the_field(read, value, bits):
+    with pytest.raises(ValueError, match=rf"^steps is too large for a float, got an integer of {bits} bits$"):
         read(value, "steps")
+
+
+def test_the_largest_integer_that_rounds_down_reads_as_the_largest_float():
+    assert real_number(2**1024 - 2**970 - 1, "t1") == np.finfo(float).max
 
 
 @pytest.mark.parametrize("field, value", [("alpha", "0.5"), ("t0", "0"), ("t1", True)])
@@ -563,7 +569,13 @@ def test_krylov_propagate_raises_when_its_basis_is_not_orthonormal(monkeypatch):
         krylov_propagate(h, 1.0, v)
 
 
-def test_evolve_diagonalises_only_pieces_it_uses_more_than_once(monkeypatch):
+def _alternating(h0, h1, runs, alpha=1.0):
+    """Pieces h0, h1, h0, ... over [0, 1]: `runs` runs on each of the two."""
+    edges = np.linspace(0.0, 1.0, 2 * runs + 1)
+    return HamiltonianSchedule.piecewise([(edges[i], edges[i + 1], (h0, h1)[i % 2]) for i in range(2 * runs)], alpha)
+
+
+def test_evolve_diagonalises_only_pieces_past_the_lanczos_bound(monkeypatch):
     rng = make_rng(93)
     h0, h1, h2 = (random_hermitian(256, rng) for _ in range(3))
     v = random_state(256, rng)
@@ -571,12 +583,33 @@ def test_evolve_diagonalises_only_pieces_it_uses_more_than_once(monkeypatch):
     one_piece = HamiltonianSchedule.constant(h0, 0.0, 1.0)
     assert np.abs(evolve(v, one_piece, 128).amplitudes - _expm_over_runs(v, one_piece, 128)).max() <= 1e-12
     assert len(calls) == 0
-    alternating = HamiltonianSchedule.piecewise([(0.0, 0.25, h0), (0.25, 0.5, h1), (0.5, 0.75, h0), (0.75, 1.0, h1)])
-    assert evolve(v, alternating, 128).amplitudes.tobytes() == _run_reference_evolve(v, alternating, 128).tobytes()
+    few = _alternating(h0, h1, 2)  # two runs on each piece: 2 x 30 steps and the spread term fit in 128
+    assert np.abs(evolve(v, few, 128).amplitudes - _expm_over_runs(v, few, 128)).max() <= 1e-12
+    assert len(calls) == 0
+    many = _alternating(h0, h1, 5)  # 5 x 30 > 128 steps: each piece's eigenbasis serves its five runs
+    assert evolve(v, many, 128).amplitudes.tobytes() == _run_reference_evolve(v, many, 128).tobytes()
     assert len(calls) == 2
-    wide = HamiltonianSchedule.constant(h2, 0.0, 1.0, 0.3)  # falls back at step 16
+    wide = HamiltonianSchedule.constant(h2, 0.0, 1.0, 0.3)  # gives up at step 8
     assert evolve(v, wide, 128).amplitudes.tobytes() == _run_reference_evolve(v, wide, 128).tobytes()
     assert len(calls) == 3
+
+
+def test_evolve_each_makes_one_path_choice_per_piece(monkeypatch):
+    """Each leg alone would take Lanczos, but the two legs' runs together pass the bound: the first run
+    gives up at step 8, and the eigenbasis it leaves serves the second leg too."""
+    rng = make_rng(95)
+    h, v = random_hermitian(256, rng), random_state(256, rng)
+    sched = HamiltonianSchedule.constant(h, 0.0, 2.0, 1.0)
+    legs = [sched.restrict(0.0, 1.0), sched.restrict(0.0, 2.0)]
+    calls = _counting(monkeypatch, avcp.operators, "eigh_stack")
+    alone = [evolve(v, leg, 64).amplitudes for leg in legs]
+    assert len(calls) == 0
+    tries = _counting(monkeypatch, avcp.evolution, "_lanczos")
+    together = evolve_each(v, legs, 64)
+    assert len(tries) == 1 and len(calls) == 1
+    for leg, got, lanczos in zip(legs, together, alone):
+        assert got.amplitudes.tobytes() == _run_reference_evolve(v, leg, 64).tobytes()
+        assert np.abs(got.amplitudes - lanczos).max() <= 1e-12
 
 
 @pytest.mark.parametrize("d, krylov", [(127, False), (128, True)])

@@ -241,7 +241,7 @@ def test_enumeration_budget_fails_before_any_evolution(monkeypatch, check):
     def evolved(*args):
         raise AssertionError("evolved before the enumeration budget was checked")
 
-    monkeypatch.setattr(experiments, "evolve", evolved)
+    monkeypatch.setattr(evolution, "evolve", evolved)
     with pytest.raises(StateSpaceTooLarge):
         check(_over_budget_spec())
 
@@ -338,13 +338,13 @@ def test_window_built_in_code_rejects_steps_before_any_eigendecomposition(monkey
     "check", [check_avcp, lambda spec: run_trials(spec, 10, 0)], ids=["check_avcp", "run_trials"]
 )
 def test_each_measurement_time_is_evolved_to_once(monkeypatch, check):
-    spans, evolve = [], experiments.evolve
+    spans, evolve = [], evolution.evolve
 
-    def counting(v, schedule, steps):
+    def counting(v, schedule, steps, budget=None):
         spans.append((schedule.t_start, schedule.t_end))
-        return evolve(v, schedule, steps)
+        return evolve(v, schedule, steps, budget)
 
-    monkeypatch.setattr(experiments, "evolve", counting)
+    monkeypatch.setattr(evolution, "evolve", counting)
     h = random_hermitian(3, make_rng(31))
     window = EvolutionWindow(HamiltonianSchedule.constant(h, 0.0, 2.0), t1=1.0, t2=2.0, steps=16)
     rng = make_rng(32)
