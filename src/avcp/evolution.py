@@ -57,10 +57,11 @@ _KRYLOV_TOL = 1e-14
 #: steps between two convergence checks (each an eigh of T_m), and the last check step that may decide the
 #: fallback: the Ritz values' spread only grows with the step, so a bound past the cap at step 8 stays past it
 _KRYLOV_CHECK_EVERY, _KRYLOV_SPREAD_STEP = 8, 16
-#: a run's Lanczos step bound is e (theta_max - theta_min) |tau| / 4 plus this (a run of |H| tau = 1 to 120 takes
-#: 16 to 104 steps); a piece whose runs' bounds sum past d / 2 keeps its eigenbasis. At d = 256 that admits at
-#: most 4 runs: Lanczos on every run of two alternating random pieces, each run converging, beat the two
-#: eigenbases up to 16 runs each at alpha 1 but lost at 64 runs, and from 4 runs at alpha 0.1
+#: a run's Lanczos step bound is e (theta_max - theta_min) |tau| / 4 plus this (at d = 256, runs with a spread
+#: times |tau| of 0.6 to 124 took 16 to 104 steps); a piece whose runs' bounds sum past d / 2 keeps its
+#: eigenbasis. At d = 256 that admits at most 4 runs: Lanczos on every run of two alternating random pieces,
+#: each run converging, beat the two eigenbases up to 16 runs each at alpha 1 but lost at 64 runs, and from 4
+#: runs at alpha 0.1
 _KRYLOV_RUN_STEPS = 30
 
 
@@ -203,13 +204,6 @@ def propagate(h: HermitianOperator, dt: float, amps: np.ndarray, alpha: float = 
     return s.eigenvectors @ (phases * (s.eigenvectors.conj().T @ amps).T).T
 
 
-def krylov_propagate(h: HermitianOperator, dt: float, amps: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-    """exp(-i H dt / alpha) applied to the vector `amps` by `_lanczos`, without diagonalising H, or by
-    `propagate` where Lanczos gives up."""
-    out = _lanczos(h, dt / alpha, amps, [abs(dt / alpha)])
-    return propagate(h, dt, amps, alpha) if out is None else out
-
-
 def _lanczos(h: HermitianOperator, tau: float, amps: np.ndarray, pending: list[float]) -> np.ndarray | None:
     """exp(-i tau H) applied to the vector `amps` on one BLAS thread, or None where `propagate` should.
 
@@ -299,12 +293,12 @@ def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int, budget: dict
         runs = _runs(sched, steps)
         budget = _lanczos_budget([(runs, sched.alpha)]) if budget is None else budget
         for h, run_dt in runs:
-            taus = budget.pop(h, None)  # back only if Lanczos does this run
-            out = None if taus is None else _lanczos(h, run_dt / sched.alpha, amps, taus)
+            tau, taus = run_dt / sched.alpha, budget.pop(h, None)  # back only if Lanczos does this run
+            out = None if taus is None else _lanczos(h, tau, amps, taus)
             if out is None:
                 amps = _renormalised(propagate(h, run_dt, amps, sched.alpha))
             else:
-                taus.remove(abs(run_dt / sched.alpha))
+                taus.remove(abs(tau))
                 budget[h] = taus
                 amps = _renormalised(out)
         return QuantumState(amps, v.factor_dims)

@@ -19,7 +19,6 @@ from avcp.evolution import (
     evolve,
     evolve_each,
     evolved_expectation,
-    krylov_propagate,
     propagate,
     propagator,
     real_number,
@@ -553,31 +552,31 @@ def _krylov_case(name, rng):
     ("scalar", 1.0, False),
     ("eigenvector", 1.0, False),
 ])
-def test_krylov_propagate_matches_scipy_expm(name, tau, falls_back, monkeypatch):
+def test_lanczos_matches_scipy_expm_or_gives_up(name, tau, falls_back):
     h, v = _krylov_case(name, make_rng(91))
-    calls = _counting(monkeypatch, avcp.evolution, "propagate")
-    got = krylov_propagate(h, tau * 0.5, v, 0.5)
+    got = avcp.evolution._lanczos(h, tau, v, [tau])
+    assert (got is None) == falls_back
+    got = propagate(h, tau, v) if got is None else got  # what evolve applies in its place
     assert np.abs(got - scipy.linalg.expm(-1j * tau * h.matrix) @ v).max() <= 1e-12
-    assert len(calls) == falls_back
 
 
-def test_krylov_propagate_raises_when_its_basis_is_not_orthonormal(monkeypatch):
+def test_lanczos_raises_when_its_basis_is_not_orthonormal(monkeypatch):
     rng = make_rng(92)
     h, v = random_hermitian(256, rng), random_state(256, rng).amplitudes
     monkeypatch.setattr(avcp.evolution, "SPECTRUM_TOL", 0.0)
     with pytest.raises(ConvergenceFailure, match=r"^Krylov basis is not orthonormal$"):
-        krylov_propagate(h, 1.0, v)
+        avcp.evolution._lanczos(h, 1.0, v, [1.0])
 
 
-def _alternating(h0, h1, runs, alpha=1.0):
-    """Pieces h0, h1, h0, ... over [0, 1]: `runs` runs on each of the two."""
-    edges = np.linspace(0.0, 1.0, 2 * runs + 1)
-    return HamiltonianSchedule.piecewise([(edges[i], edges[i + 1], (h0, h1)[i % 2]) for i in range(2 * runs)], alpha)
+def _alternating(h0, h1, runs, span=1.0):
+    """Pieces h0, h1, h0, ... over [0, span]: `runs` runs on each of the two."""
+    edges = np.linspace(0.0, span, 2 * runs + 1)
+    return HamiltonianSchedule.piecewise([(edges[i], edges[i + 1], (h0, h1)[i % 2]) for i in range(2 * runs)])
 
 
 def test_evolve_diagonalises_only_pieces_past_the_lanczos_bound(monkeypatch):
     rng = make_rng(93)
-    h0, h1, h2 = (random_hermitian(256, rng) for _ in range(3))
+    h0, h1, h2, h3 = (random_hermitian(256, rng) for _ in range(4))
     v = random_state(256, rng)
     calls = _counting(monkeypatch, avcp.operators, "eigh_stack")
     one_piece = HamiltonianSchedule.constant(h0, 0.0, 1.0)
@@ -586,12 +585,14 @@ def test_evolve_diagonalises_only_pieces_past_the_lanczos_bound(monkeypatch):
     few = _alternating(h0, h1, 2)  # two runs on each piece: 2 x 30 steps and the spread term fit in 128
     assert np.abs(evolve(v, few, 128).amplitudes - _expm_over_runs(v, few, 128)).max() <= 1e-12
     assert len(calls) == 0
-    many = _alternating(h0, h1, 5)  # 5 x 30 > 128 steps: each piece's eigenbasis serves its five runs
-    assert evolve(v, many, 128).amplitudes.tobytes() == _run_reference_evolve(v, many, 128).tobytes()
-    assert len(calls) == 2
-    wide = HamiltonianSchedule.constant(h2, 0.0, 1.0, 0.3)  # gives up at step 8
-    assert evolve(v, wide, 128).amplitudes.tobytes() == _run_reference_evolve(v, wide, 128).tobytes()
+    # 5 x 30 > 128 steps: each piece's eigenbasis serves its five runs, also over a span so short that
+    # each run alone would converge at step 8
+    for many in (_alternating(h0, h1, 5), _alternating(h1, h2, 5, 1e-4)):
+        assert evolve(v, many, 128).amplitudes.tobytes() == _run_reference_evolve(v, many, 128).tobytes()
     assert len(calls) == 3
+    wide = HamiltonianSchedule.constant(h3, 0.0, 1.0, 0.3)  # gives up at step 8
+    assert evolve(v, wide, 128).amplitudes.tobytes() == _run_reference_evolve(v, wide, 128).tobytes()
+    assert len(calls) == 4
 
 
 def test_evolve_each_makes_one_path_choice_per_piece(monkeypatch):

@@ -338,10 +338,11 @@ def test_window_built_in_code_rejects_steps_before_any_eigendecomposition(monkey
     "check", [check_avcp, lambda spec: run_trials(spec, 10, 0)], ids=["check_avcp", "run_trials"]
 )
 def test_each_measurement_time_is_evolved_to_once(monkeypatch, check):
-    spans, evolve = [], evolution.evolve
+    spans, budgets, evolve = [], [], evolution.evolve
 
     def counting(v, schedule, steps, budget=None):
         spans.append((schedule.t_start, schedule.t_end))
+        budgets.append(budget)
         return evolve(v, schedule, steps, budget)
 
     monkeypatch.setattr(evolution, "evolve", counting)
@@ -352,6 +353,7 @@ def test_each_measurement_time_is_evolved_to_once(monkeypatch, check):
     spec = ExperimentSpec(random_state(3, rng), bind, ["A", "B"], "A + B", evolution=window)
     check(spec)
     assert sorted(spans) == [(0.0, 1.0), (0.0, 2.0)]
+    assert budgets[0] is budgets[1] is not None  # one Lanczos budget for both legs
 
 
 def test_avcp_property_random_simple_ensembles():
