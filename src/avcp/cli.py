@@ -158,10 +158,9 @@ def _experiment(args) -> int:
     raw = _load_json(args.spec)
     alpha = _alpha(args) if isinstance(raw, dict) and raw.get("evolution") else 1.0  # only a window reads alpha
     spec = ExperimentSpec.from_dict(raw, alpha)
-    n = whole_number(raw.get("n_trials", _OPTIONS["trials"]["default"]) if args.trials is None else args.trials,
-                     "n_trials")
-    seed = whole_number(raw.get("seed", _OPTIONS["seed"]["default"]) if args.seed is None else args.seed, "seed")
-    report = run_trials(spec, n, seed)
+    n = whole_number(raw.get("n_trials", _OPTIONS["trials"]["default"]), "n_trials")  # checked though a flag wins
+    seed = whole_number(raw.get("seed", _OPTIONS["seed"]["default"]), "seed")
+    report = run_trials(spec, n if args.trials is None else args.trials, seed if args.seed is None else args.seed)
     _emit(report.to_dict(), args.format, args.out, text_renderer=lambda d: report.to_text())
     return 0
 

@@ -9,9 +9,8 @@ exp(-i H k dt / alpha); the state is renormalised after each factor.
 
 `evolve` applies the runs on a piece of dimension at least
 `KRYLOV_MIN_DIM` by Lanczos, without diagonalising H, while the Lanczos step
-bound summed over the piece's runs stays within d / 2 (`evolve_each`
-sums it over several schedules, as an experiment window's two legs). A
-piece past the bound falls back to its eigenbasis, which then serves its
+bound summed over the piece's runs in that call stays within d / 2. A piece
+past the bound falls back to its eigenbasis, which then serves its
 remaining runs. Every other run, `propagator`, `evolved_expectation` and
 the slices of a callable schedule move in H's eigenbasis.
 """
@@ -65,10 +64,14 @@ _KRYLOV_CHECK_EVERY, _KRYLOV_SPREAD_STEP = 8, 16
 _KRYLOV_RUN_STEPS = 30
 
 
-def require_alpha(alpha: float) -> None:
-    """Raise ValueError unless the evolution constant alpha is finite and positive (a bool is not a number)."""
+def require_alpha(alpha: float) -> float:
+    """The evolution constant alpha as a float, read as `real_number` reads a time; ValueError unless it is
+    finite and positive (a bool is not a number, and fails with that message)."""
+    if not isinstance(alpha, bool):
+        alpha = real_number(alpha, "alpha")
     if isinstance(alpha, bool) or not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    return alpha
 
 
 def real_number(value, name: str) -> float:
@@ -113,7 +116,8 @@ class HamiltonianSchedule:
 
     @classmethod
     def piecewise(cls, pieces: Sequence[tuple[float, float, HermitianOperator]], alpha: float = 1.0):
-        items = sorted(((float(a), float(b), h) for a, b, h in pieces), key=lambda p: p[0])
+        alpha = require_alpha(alpha)
+        items = sorted(((real_number(a, "t0"), real_number(b, "t1"), h) for a, b, h in pieces), key=lambda p: p[0])
         if not items:
             raise ScheduleGap("schedule needs at least one piece")
         dims = {h.dim for _, _, h in items}
@@ -127,7 +131,7 @@ class HamiltonianSchedule:
         for a, b, _ in items:
             if not a <= b:
                 raise ScheduleGap(f"piece [{a}, {b}] must be finite and not reversed")
-        return cls(items[0][0], items[-1][1], float(alpha), tuple(items), None)
+        return cls(items[0][0], items[-1][1], alpha, tuple(items), None)
 
     @classmethod
     def constant(cls, h: HermitianOperator, t_start: float, t_end: float, alpha: float = 1.0):
@@ -135,7 +139,7 @@ class HamiltonianSchedule:
 
     @classmethod
     def from_function(cls, fn, t_start: float, t_end: float, alpha: float = 1.0):
-        return cls(float(t_start), float(t_end), float(alpha), None, fn)
+        return cls(real_number(t_start, "t_start"), real_number(t_end, "t_end"), require_alpha(alpha), None, fn)
 
     @property
     def dim(self) -> int:
@@ -176,7 +180,7 @@ class HamiltonianSchedule:
         if isinstance(d, dict):
             alpha = d.get("alpha", alpha)
             pieces = d["pieces"]
-        require_alpha(alpha if isinstance(alpha, bool) else real_number(alpha, "alpha"))  # before any piece
+        require_alpha(alpha)  # before any piece
         items = [(real_number(p["t0"], "t0"), real_number(p["t1"], "t1"), operator_from_dict(p["operator"]))
                  for p in pieces]
         return cls.piecewise(items, alpha)
@@ -194,7 +198,7 @@ def propagate(h: HermitianOperator, dt: float, amps: np.ndarray, alpha: float = 
     """exp(-i H dt / alpha) applied to a vector or to the columns of a matrix, O(d^2) per vector:
     rotate into H's cached eigenbasis, one phase per eigenvalue, rotate back. The first call on H pays
     its eigendecomposition; `evolve` applies a piece of dimension at least KRYLOV_MIN_DIM by Lanczos
-    instead, unless its runs are too many or too long for that."""
+    instead, unless the piece's runs in that call are too many or too long for that."""
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
     if dt == 0.0:
@@ -261,24 +265,22 @@ def _runs(sched: HamiltonianSchedule, steps: int) -> list[tuple[HermitianOperato
     return [(h, sum(1 for _ in run) * dt) for h, run in groupby(map(sched.at, mids))]
 
 
-def _lanczos_budget(legs) -> dict:
-    """{piece: |tau| of each of its runs} from (runs, alpha) pairs, over the pieces of dimension at least
-    KRYLOV_MIN_DIM whose runs' step bound could stay within d / 2."""
+def _lanczos_budget(runs, alpha: float) -> dict:
+    """{piece: |tau| of each of its runs, in order} over the pieces of dimension at least KRYLOV_MIN_DIM
+    whose runs' step bound could stay within d / 2."""
     budget: dict = {}
-    for runs, alpha in legs:
-        for h, dt in runs:
-            if h.dim >= KRYLOV_MIN_DIM:
-                budget.setdefault(h, []).append(abs(dt / alpha))
+    for h, dt in runs:
+        if h.dim >= KRYLOV_MIN_DIM:
+            budget.setdefault(h, []).append(abs(dt / alpha))
     return {h: taus for h, taus in budget.items() if _krylov_steps(0.0, taus) <= h.dim // 2}
 
 
-def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int, budget: dict | None = None) -> QuantumState:
+def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumState:
     """Propagate across the schedule span with `steps` midpoint-sampled slices. Each run of consecutive
-    slices on one piece is one propagation: by `_lanczos` while the piece is in the Lanczos `budget`, else
-    by `propagate`. A piece leaves the budget where Lanczos gives up, so its eigenbasis serves its later
-    runs. `budget` is the one `evolve_each` shares between schedules; by default it is this schedule's
-    own. A callable schedule is sampled and diagonalised in blocks, so its `fn` may run up to one block
-    ahead of propagation. The state is renormalised after each propagation."""
+    slices on one piece is one propagation: by `_lanczos` while the piece's runs in this call stay within
+    the Lanczos bound, else by `propagate`. A piece whose Lanczos run gives up keeps its eigenbasis for its
+    later runs. A callable schedule is sampled and diagonalised in blocks, so its `fn` may run up to one
+    block ahead of propagation. The state is renormalised after each propagation."""
     steps = whole_number(steps, "steps")
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -291,16 +293,15 @@ def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int, budget: dict
     dt = span / steps
     if sched.fn is None:  # every slice of a run shares one H: k slices are exp(-i H k dt / alpha)
         runs = _runs(sched, steps)
-        budget = _lanczos_budget([(runs, sched.alpha)]) if budget is None else budget
+        left = _lanczos_budget(runs, sched.alpha)  # pending |tau| of each piece that may still take Lanczos
         for h, run_dt in runs:
-            tau, taus = run_dt / sched.alpha, budget.pop(h, None)  # back only if Lanczos does this run
-            out = None if taus is None else _lanczos(h, tau, amps, taus)
-            if out is None:
-                amps = _renormalised(propagate(h, run_dt, amps, sched.alpha))
+            out = _lanczos(h, run_dt / sched.alpha, amps, left[h]) if h in left else None
+            if out is not None:
+                del left[h][0]
             else:
-                taus.remove(abs(tau))
-                budget[h] = taus
-                amps = _renormalised(out)
+                left.pop(h, None)
+                out = propagate(h, run_dt, amps, sched.alpha)
+            amps = _renormalised(out)
         return QuantumState(amps, v.factor_dims)
     block = max(1, min(_BLOCK_SLICES, _BLOCK_ENTRIES // v.dim**2))
     for start in range(0, steps, block):
@@ -316,16 +317,6 @@ def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int, budget: dict
         for phases, vecs in zip(np.exp(-1j * values * (dt / sched.alpha)), vectors):
             amps = _renormalised(vecs @ (phases * (vecs.conj().T @ amps)))
     return QuantumState(amps, v.factor_dims)
-
-
-def evolve_each(v: QuantumState, scheds: Sequence[HamiltonianSchedule], steps: int) -> list[QuantumState]:
-    """`evolve` of `v` along each schedule, in order, sharing one Lanczos budget: a piece that several
-    schedules use, as the two legs of an experiment window do, makes one path choice for all its runs."""
-    steps = whole_number(steps, "steps")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    budget = _lanczos_budget((_runs(s, steps), s.alpha) for s in scheds if s.fn is None and s.t_end != s.t_start)
-    return [evolve(v, sched, steps, budget) for sched in scheds]
 
 
 def _renormalised(amps: np.ndarray) -> np.ndarray:

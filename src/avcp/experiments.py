@@ -24,7 +24,7 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import DimMismatch, StateSpaceTooLarge, UnboundVariable
-from .evolution import HamiltonianSchedule, evolve_each, real_number, whole_number
+from .evolution import HamiltonianSchedule, evolve, real_number, whole_number
 from .expressions import BindingSet
 from .operators import QuantumState, born_split, expectation, inverse_cdf, make_rng, state_from_dict, state_to_dict
 
@@ -86,11 +86,10 @@ class EvolutionWindow:
             self.schedule.restrict(self.schedule.t_start, t)
 
     def states(self, v0: QuantumState) -> tuple[QuantumState, QuantumState]:
-        """`v0` evolved to t1 and to t2, each from the schedule start in `steps` slices. The two legs share
-        their pieces' Lanczos budget, so a piece takes one path in both."""
+        """`v0` evolved to t1 and to t2, each by one `evolve` from the schedule start in `steps` slices, so
+        each leg takes the Lanczos or eigenbasis path that a lone `evolve` over it would take."""
         start = self.schedule.t_start
-        legs = [self.schedule.restrict(start, t) for t in dict.fromkeys((self.t1, self.t2))]
-        states = evolve_each(v0, legs, self.steps)
+        states = [evolve(v0, self.schedule.restrict(start, t), self.steps) for t in dict.fromkeys((self.t1, self.t2))]
         return states[0], states[-1]
 
     @classmethod

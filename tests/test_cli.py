@@ -529,16 +529,27 @@ def test_experiment_reads_whole_float_trials_and_seed_as_integers(tmp_path, caps
         ((), {"n_trials": 100, "seed": 4}, (100, 4)),
         (("--trials", "50"), {}, (50, 0)),
         ((), {}, (10000, 0)),
-        (("--trials", "50", "--seed", "3"), {"n_trials": 2.7, "seed": True}, (50, 3)),
     ],
-    ids=["both_options", "trials_option", "seed_option", "spec", "option_over_default", "defaults",
-         "options_over_bad_spec_values"],
+    ids=["both_options", "trials_option", "seed_option", "spec", "option_over_default", "defaults"],
 )
 def test_experiment_trials_and_seed_options_win_over_the_spec(tmp_path, capsys, flags, fields, trials_and_seed):
     rc, out, err = _experiment_run(tmp_path, capsys, *flags, **fields)
     assert rc == 0 and err == ""
     report = json.loads(out)
     assert (report["n_trials"], report["seed"]) == trials_and_seed
+
+
+@pytest.mark.parametrize(
+    "flags, fields, message",
+    [
+        (("--trials", "50", "--seed", "3"), {"n_trials": 2.7, "seed": True}, "n_trials must be a whole number, got 2.7"),
+        (("--trials", "50", "--seed", "3"), {"n_trials": "x", "seed": {}}, "n_trials must be a whole number, got 'x'"),
+        (("--seed", "3"), {"seed": True}, "seed must be a whole number, got True"),
+    ],
+    ids=["fractional_trials_bool_seed", "string_trials_object_seed", "bool_seed"],
+)
+def test_experiment_options_do_not_hide_bad_spec_values(tmp_path, capsys, flags, fields, message):
+    assert _experiment_run(tmp_path, capsys, *flags, **fields) == (1, "", f"error: ValueError: {message}\n")
 
 
 def test_experiment_options_equal_to_the_spec_values_print_the_same_bytes(tmp_path, capsys):

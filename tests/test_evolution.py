@@ -12,12 +12,12 @@ import avcp.kinematics
 import avcp.operators
 from avcp.angular import check_frame_rotation_covariance, check_rotation_identity, spin_operators
 from avcp.errors import AvcpError, ConvergenceFailure, DimMismatch, ScheduleGap
+from avcp.experiments import EvolutionWindow
 from avcp.evolution import (
     HamiltonianSchedule,
     check_ehrenfest,
     check_energy_conservation,
     evolve,
-    evolve_each,
     evolved_expectation,
     propagate,
     propagator,
@@ -481,6 +481,36 @@ def test_schedule_times_and_alpha_are_read_only_from_json_numbers(field, value):
         HamiltonianSchedule.from_dict(d)
 
 
+_H2 = HermitianOperator(SZ)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: HamiltonianSchedule.constant(_H2, 0, 1, alpha=True), "alpha must be finite and positive, got True"),
+    (lambda: HamiltonianSchedule.constant(_H2, 0, 1, alpha="0.5"), "alpha must be a real number, got '0.5'"),
+    (lambda: HamiltonianSchedule.piecewise([("0", 1.0, _H2)]), "t0 must be a real number, got '0'"),
+    (lambda: HamiltonianSchedule.piecewise([(0.0, True, _H2)]), "t1 must be a real number, got True"),
+    (lambda: HamiltonianSchedule.from_function(lambda t: _H2, 0, 1, alpha="0.5"),
+     "alpha must be a real number, got '0.5'"),
+    (lambda: HamiltonianSchedule.from_function(lambda t: _H2, 0, 1, alpha=True),
+     "alpha must be finite and positive, got True"),
+    (lambda: HamiltonianSchedule.from_function(lambda t: _H2, "0", 1), "t_start must be a real number, got '0'"),
+    (lambda: HamiltonianSchedule.from_function(lambda t: _H2, 0, True), "t_end must be a real number, got True"),
+], ids=["constant_bool_alpha", "constant_string_alpha", "piecewise_string_t0", "piecewise_bool_t1",
+        "from_function_string_alpha", "from_function_bool_alpha", "from_function_string_start",
+        "from_function_bool_end"])
+def test_schedules_built_in_code_read_alpha_and_times_as_json_does(build, error):
+    with pytest.raises(ValueError, match=rf"^{re.escape(error)}$"):
+        build()
+
+
+def test_schedules_built_in_code_read_integer_and_numpy_times_and_alpha_as_floats():
+    sched = HamiltonianSchedule.constant(_H2, np.int64(0), 1, alpha=np.float32(0.5))
+    assert sched.pieces[0][:2] == (0.0, 1.0) and sched.alpha == 0.5
+    assert all(type(x) is float for x in (*sched.pieces[0][:2], sched.alpha, sched.t_start, sched.t_end))
+    sched = HamiltonianSchedule.from_function(lambda t: _H2, 0, np.float64(2), alpha=2)
+    assert all(type(x) is float for x in (sched.alpha, sched.t_start, sched.t_end))
+
+
 def _faulty_drive(start, fault):
     """A d = 3 linear drive over [0, 1] whose slices from t = `start` on are `fault(t, matrix)`. Run with
     600 slices in blocks of 256, start 0.6 puts the first faulty slice (slice 360) inside the second block."""
@@ -595,22 +625,18 @@ def test_evolve_diagonalises_only_pieces_past_the_lanczos_bound(monkeypatch):
     assert len(calls) == 4
 
 
-def test_evolve_each_makes_one_path_choice_per_piece(monkeypatch):
-    """Each leg alone would take Lanczos, but the two legs' runs together pass the bound: the first run
-    gives up at step 8, and the eigenbasis it leaves serves the second leg too."""
+@pytest.mark.parametrize("t2, gives_up", [(2.0, False), (4.0, True)], ids=["both_lanczos", "longer_gives_up"])
+def test_window_legs_each_take_the_path_of_a_lone_evolve(t2, gives_up, monkeypatch):
+    """Each leg of a d = 256 window is one `evolve`: at t2 = 4 the longer leg's run passes the Lanczos bound
+    and gives up, although the shorter leg's run on the same piece took Lanczos."""
     rng = make_rng(95)
     h, v = random_hermitian(256, rng), random_state(256, rng)
-    sched = HamiltonianSchedule.constant(h, 0.0, 2.0, 1.0)
-    legs = [sched.restrict(0.0, 1.0), sched.restrict(0.0, 2.0)]
+    window = EvolutionWindow(HamiltonianSchedule.constant(h, 0.0, t2), 1.0, t2, 64)
     calls = _counting(monkeypatch, avcp.operators, "eigh_stack")
-    alone = [evolve(v, leg, 64).amplitudes for leg in legs]
-    assert len(calls) == 0
-    tries = _counting(monkeypatch, avcp.evolution, "_lanczos")
-    together = evolve_each(v, legs, 64)
-    assert len(tries) == 1 and len(calls) == 1
-    for leg, got, lanczos in zip(legs, together, alone):
-        assert got.amplitudes.tobytes() == _run_reference_evolve(v, leg, 64).tobytes()
-        assert np.abs(got.amplitudes - lanczos).max() <= 1e-12
+    states = window.states(v)
+    assert len(calls) == gives_up
+    for t, got in zip((1.0, t2), states):
+        assert got.amplitudes.tobytes() == evolve(v, window.schedule.restrict(0.0, t), 64).amplitudes.tobytes()
 
 
 @pytest.mark.parametrize("d, krylov", [(127, False), (128, True)])

@@ -67,6 +67,7 @@ CORPUS = (
     "experiment window_d256.json",
     "experiment window_d256.json --alpha 2",
     "AVCP_ALPHA=0.5 experiment window_d256.json",
+    "experiment window_d256.json --alpha 0.3",
     "evolve --state state_d256.json --schedule schedule_d256.json",
     "evolve --state state_d256.json --schedule schedule_d256.json --alpha 0.3",
     "evolve --state state_d256.json --schedule schedule_d256.json --alpha 0",
@@ -99,6 +100,9 @@ CORPUS = (
     "experiment string_steps.json",
     "experiment string_n_trials.json",
     "experiment string_seed.json",
+    "experiment string_seed.json --seed 1",
+    "experiment bad_counts.json",
+    "experiment bad_counts.json --trials 10 --seed 1",
 )
 
 
@@ -188,6 +192,7 @@ def _write_inputs(folder: Path) -> None:
     write("string_steps.json", spec(3, small, "A + B", 100, evolution={**small_window, "steps": "128"}))
     write("string_n_trials.json", spec(3, small, "A + B", "100"))
     write("string_seed.json", {**spec(3, small, "A + B", 100), "seed": "7"})
+    write("bad_counts.json", {**spec(3, small, "A + B", 100), "n_trials": "x", "seed": {}})
 
 
 def _run(line: str) -> tuple[int, str, str]:
