@@ -542,7 +542,8 @@ def test_experiment_trials_and_seed_options_win_over_the_spec(tmp_path, capsys, 
 @pytest.mark.parametrize(
     "flags, fields, message",
     [
-        (("--trials", "50", "--seed", "3"), {"n_trials": 2.7, "seed": True}, "n_trials must be a whole number, got 2.7"),
+        (("--trials", "50", "--seed", "3"), {"n_trials": 2.7, "seed": True},
+         "n_trials must be a whole number, got 2.7"),
         (("--trials", "50", "--seed", "3"), {"n_trials": "x", "seed": {}}, "n_trials must be a whole number, got 'x'"),
         (("--seed", "3"), {"seed": True}, "seed must be a whole number, got True"),
     ],

@@ -12,7 +12,6 @@ import avcp.kinematics
 import avcp.operators
 from avcp.angular import check_frame_rotation_covariance, check_rotation_identity, spin_operators
 from avcp.errors import AvcpError, ConvergenceFailure, DimMismatch, ScheduleGap
-from avcp.experiments import EvolutionWindow
 from avcp.evolution import (
     HamiltonianSchedule,
     check_ehrenfest,
@@ -24,6 +23,7 @@ from avcp.evolution import (
     real_number,
     whole_number,
 )
+from avcp.experiments import EvolutionWindow
 from avcp.kinematics import (
     _require_safe,
     build_fock,
@@ -481,17 +481,17 @@ def test_schedule_times_and_alpha_are_read_only_from_json_numbers(field, value):
         HamiltonianSchedule.from_dict(d)
 
 
-_H2 = HermitianOperator(SZ)
+_SZ_OP = HermitianOperator(SZ)
 
 
 @pytest.mark.parametrize("build, error", [
-    (lambda: HamiltonianSchedule.constant(_H2, 0, 1, alpha="0.5"), "alpha must be a real number, got '0.5'"),
-    (lambda: HamiltonianSchedule.piecewise([("0", 1.0, _H2)]), "t0 must be a real number, got '0'"),
-    (lambda: HamiltonianSchedule.piecewise([(0.0, True, _H2)]), "t1 must be a real number, got True"),
-    (lambda: HamiltonianSchedule.from_function(lambda t: _H2, 0, 1, alpha="0.5"),
+    (lambda: HamiltonianSchedule.constant(_SZ_OP, 0, 1, alpha="0.5"), "alpha must be a real number, got '0.5'"),
+    (lambda: HamiltonianSchedule.piecewise([("0", 1.0, _SZ_OP)]), "t0 must be a real number, got '0'"),
+    (lambda: HamiltonianSchedule.piecewise([(0.0, True, _SZ_OP)]), "t1 must be a real number, got True"),
+    (lambda: HamiltonianSchedule.from_function(lambda t: _SZ_OP, 0, 1, alpha="0.5"),
      "alpha must be a real number, got '0.5'"),
-    (lambda: HamiltonianSchedule.from_function(lambda t: _H2, "0", 1), "t_start must be a real number, got '0'"),
-    (lambda: HamiltonianSchedule.from_function(lambda t: _H2, 0, True), "t_end must be a real number, got True"),
+    (lambda: HamiltonianSchedule.from_function(lambda t: _SZ_OP, "0", 1), "t_start must be a real number, got '0'"),
+    (lambda: HamiltonianSchedule.from_function(lambda t: _SZ_OP, 0, True), "t_end must be a real number, got True"),
 ], ids=["constant_string_alpha", "piecewise_string_t0", "piecewise_bool_t1", "from_function_string_alpha",
         "from_function_string_start", "from_function_bool_end"])
 def test_schedules_built_in_code_read_alpha_and_times_as_json_does(build, error):
@@ -500,10 +500,10 @@ def test_schedules_built_in_code_read_alpha_and_times_as_json_does(build, error)
 
 
 def test_schedules_built_in_code_read_integer_and_numpy_times_and_alpha_as_floats():
-    sched = HamiltonianSchedule.constant(_H2, np.int64(0), 1, alpha=np.float32(0.5))
+    sched = HamiltonianSchedule.constant(_SZ_OP, np.int64(0), 1, alpha=np.float32(0.5))
     assert sched.pieces[0][:2] == (0.0, 1.0) and sched.alpha == 0.5
     assert all(type(x) is float for x in (*sched.pieces[0][:2], sched.alpha, sched.t_start, sched.t_end))
-    sched = HamiltonianSchedule.from_function(lambda t: _H2, 0, np.float64(2), alpha=2)
+    sched = HamiltonianSchedule.from_function(lambda t: _SZ_OP, 0, np.float64(2), alpha=2)
     assert all(type(x) is float for x in (sched.alpha, sched.t_start, sched.t_end))
 
 
