@@ -25,10 +25,10 @@ from . import expressions as ex
 from . import verify as verify_mod
 from .errors import AvcpError, NonSimpleExpression, NonSimpleInput
 from .evolution import HamiltonianSchedule, evolve
-from .experiments import ExperimentSpec, run_trials, whole_number
+from .experiments import ExperimentSpec, run_trials
 from .expressions import BindingSet
 from .kinematics import build_fock
-from .operators import operator_to_dict, state_from_dict, state_to_dict
+from .operators import operator_to_dict, state_from_dict, state_to_dict, whole_number
 from .poisson import check_dirac_rule, counterexample_report, parse_canonical
 
 #: the spec of every shared option; each subcommand names the ones it reads

@@ -7,18 +7,18 @@ midpoints (second-order accurate in the slice width). Consecutive slices on
 one piece of a piecewise schedule share H, so each such run is one factor
 exp(-i H k dt / alpha); the state is renormalised after each factor.
 
-`evolve` applies the runs on a piece of dimension at least
-`KRYLOV_MIN_DIM` by Lanczos, without diagonalising H, while the Lanczos step
-bound summed over the piece's runs in that call stays within d / 2. A piece
-past the bound falls back to its eigenbasis, which then serves its
-remaining runs. Every other run, `propagator`, `evolved_expectation` and
-the slices of a callable schedule move in H's eigenbasis.
+`evolve` applies a run by Lanczos, without diagonalising H, when its piece
+has dimension at least `KRYLOV_MIN_DIM` and no other run in that call, since
+an eigendecomposition would then serve one vector; a run whose Lanczos step
+bound passes d / 2 falls back to its eigenbasis. Every other run,
+`propagator`, `evolved_expectation` and the slices of a callable schedule
+move in H's eigenbasis.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
+from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Sequence
@@ -40,6 +40,8 @@ from .operators import (
     one_blas_thread,
     operator_from_dict,
     operator_to_dict,
+    real_number,
+    whole_number,
 )
 
 _CONTIGUITY_RTOL = 1e-12
@@ -47,7 +49,7 @@ _NORM_DRIFT_TOL = 1e-12
 #: evolve samples and diagonalises a callable schedule's slices in blocks of at most this many slices and
 #: matrix entries; they bound only those stacks, since a piecewise schedule's runs cross block edges
 _BLOCK_SLICES, _BLOCK_ENTRIES = 256, 2**20
-#: from this dimension up, `evolve` applies a piece's runs by Lanczos: against an eigendecomposition made
+#: from this dimension up, `evolve` applies a piece's one run by Lanczos: against an eigendecomposition made
 #: for one vector, it breaks even between d = 96 and d = 128 (random H, |H| dt / alpha about 30, one BLAS thread
 #: of a 2-core x86 host)
 KRYLOV_MIN_DIM = 128
@@ -57,10 +59,7 @@ _KRYLOV_TOL = 1e-14
 #: fallback: the Ritz values' spread only grows with the step, so a bound past the cap at step 8 stays past it
 _KRYLOV_CHECK_EVERY, _KRYLOV_SPREAD_STEP = 8, 16
 #: a run's Lanczos step bound is e (theta_max - theta_min) |tau| / 4 plus this (at d = 256, runs with a spread
-#: times |tau| of 0.6 to 124 took 16 to 104 steps); a piece whose runs' bounds sum past d / 2 keeps its
-#: eigenbasis. At d = 256 that admits at most 4 runs: Lanczos on every run of two alternating random pieces,
-#: each run converging, beat the two eigenbases up to 16 runs each at alpha 1 but lost at 64 runs, and from 4
-#: runs at alpha 0.1
+#: times |tau| of 0.6 to 124 took 16 to 104 steps); a run whose bound passes d / 2 keeps its piece's eigenbasis
 _KRYLOV_RUN_STEPS = 30
 
 
@@ -72,26 +71,6 @@ def require_alpha(alpha: float) -> float:
     if isinstance(alpha, bool) or not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
     return alpha
-
-
-def real_number(value, name: str) -> float:
-    """A time or alpha as a float: 1 and 0.5 read; true, "0.5", null and an integer beyond the float range raise
-    ValueError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        bits = int(value).bit_length()
-        raise ValueError(f"{name} is too large for a float, got an integer of {bits} bits") from None
-
-
-def whole_number(value, name: str) -> int:
-    """A count or seed as an int: 128 and 128.0 read as 128; 2.7, true, "128", Infinity and an integer beyond the
-    float range raise ValueError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not real_number(value, name).is_integer():
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -197,8 +176,8 @@ class HamiltonianSchedule:
 def propagate(h: HermitianOperator, dt: float, amps: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     """exp(-i H dt / alpha) applied to a vector or to the columns of a matrix, O(d^2) per vector:
     rotate into H's cached eigenbasis, one phase per eigenvalue, rotate back. The first call on H pays
-    its eigendecomposition; `evolve` applies a piece of dimension at least KRYLOV_MIN_DIM by Lanczos
-    instead, unless the piece's runs in that call are too many or too long for that."""
+    its eigendecomposition; `evolve` applies the one run of a piece of dimension at least KRYLOV_MIN_DIM
+    by Lanczos instead, unless that run is too long for it."""
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
     if dt == 0.0:
@@ -208,15 +187,15 @@ def propagate(h: HermitianOperator, dt: float, amps: np.ndarray, alpha: float = 
     return s.eigenvectors @ (phases * (s.eigenvectors.conj().T @ amps).T).T
 
 
-def _lanczos(h: HermitianOperator, tau: float, amps: np.ndarray, pending: list[float]) -> np.ndarray | None:
+def _lanczos(h: HermitianOperator, tau: float, amps: np.ndarray) -> np.ndarray | None:
     """exp(-i tau H) applied to the vector `amps` on one BLAS thread, or None where `propagate` should.
 
     Lanczos with full reorthogonalisation builds T_m = V^dag H V on the Krylov basis V of `amps`, checking
     every few steps, through an eigh of T_m, whether beta_m |[exp(-i tau T_m) e_1]_m| <= 1e-14; it also
-    stops when the Krylov space is invariant (beta_m <= 1e-14). `pending` holds |tau| of this run and of
-    the piece's later runs: at steps 8 and 16 the Ritz values bound their steps, e (theta_max - theta_min)
-    sum(pending) / 4 + 30 per run, and above d / 2 it gives up, as it does when d / 2 steps did not
-    converge or tau is zero or not finite. Raises ConvergenceFailure unless max|V^dag V - I| <= SPECTRUM_TOL."""
+    stops when the Krylov space is invariant (beta_m <= 1e-14). At steps 8 and 16 the Ritz values bound
+    its steps, e (theta_max - theta_min) |tau| / 4 + 30, and above d / 2 it gives up, as it does when
+    d / 2 steps did not converge or tau is zero or not finite. Raises ConvergenceFailure unless
+    max|V^dag V - I| <= SPECTRUM_TOL."""
     if tau == 0.0 or not np.isfinite(tau):
         return None
     cap = h.dim // 2
@@ -242,15 +221,11 @@ def _lanczos(h: HermitianOperator, tau: float, amps: np.ndarray, pending: list[f
                     if max_norm(basis[:m].conj() @ basis[:m].T - np.eye(m)) > SPECTRUM_TOL:
                         raise ConvergenceFailure("Krylov basis is not orthonormal")
                     return beta0 * (u @ basis[:m])
-                if m <= _KRYLOV_SPREAD_STEP and _krylov_steps(theta[-1] - theta[0], pending) > cap:
+                bound = math.e * (theta[-1] - theta[0]) * abs(tau) / 4 + _KRYLOV_RUN_STEPS
+                if m <= _KRYLOV_SPREAD_STEP and bound > cap:
                     return None
             basis[m] = w / off[j]
     return None
-
-
-def _krylov_steps(spread: float, taus: list[float]) -> float:
-    """Bound on the Lanczos steps of runs of |tau| `taus` on a piece whose spectrum spans `spread`."""
-    return math.e * spread * sum(taus) / 4 + _KRYLOV_RUN_STEPS * len(taus)
 
 
 def propagator(h: HermitianOperator, dt: float, alpha: float = 1.0) -> np.ndarray:
@@ -265,22 +240,12 @@ def _runs(sched: HamiltonianSchedule, steps: int) -> list[tuple[HermitianOperato
     return [(h, sum(1 for _ in run) * dt) for h, run in groupby(map(sched.at, mids))]
 
 
-def _lanczos_budget(runs, alpha: float) -> dict:
-    """{piece: |tau| of each of its runs, in order} over the pieces of dimension at least KRYLOV_MIN_DIM
-    whose runs' step bound could stay within d / 2."""
-    budget: dict = {}
-    for h, dt in runs:
-        if h.dim >= KRYLOV_MIN_DIM:
-            budget.setdefault(h, []).append(abs(dt / alpha))
-    return {h: taus for h, taus in budget.items() if _krylov_steps(0.0, taus) <= h.dim // 2}
-
-
 def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumState:
     """Propagate across the schedule span with `steps` midpoint-sampled slices. Each run of consecutive
-    slices on one piece is one propagation: by `_lanczos` while the piece's runs in this call stay within
-    the Lanczos bound, else by `propagate`. A piece whose Lanczos run gives up keeps its eigenbasis for its
-    later runs. A callable schedule is sampled and diagonalised in blocks, so its `fn` may run up to one
-    block ahead of propagation. The state is renormalised after each propagation."""
+    slices on one piece is one propagation: by `_lanczos` if the piece has dimension at least
+    KRYLOV_MIN_DIM and no other run in this call, else, or where Lanczos gives up, by `propagate`. A
+    callable schedule is sampled and diagonalised in blocks, so its `fn` may run up to one block ahead
+    of propagation. The state is renormalised after each propagation."""
     steps = whole_number(steps, "steps")
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -293,15 +258,10 @@ def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumSt
     dt = span / steps
     if sched.fn is None:  # every slice of a run shares one H: k slices are exp(-i H k dt / alpha)
         runs = _runs(sched, steps)
-        left = _lanczos_budget(runs, sched.alpha)  # pending |tau| of each piece that may still take Lanczos
+        count = Counter(h for h, _ in runs)
         for h, run_dt in runs:
-            out = _lanczos(h, run_dt / sched.alpha, amps, left[h]) if h in left else None
-            if out is not None:
-                del left[h][0]
-            else:
-                left.pop(h, None)
-                out = propagate(h, run_dt, amps, sched.alpha)
-            amps = _renormalised(out)
+            out = _lanczos(h, run_dt / sched.alpha, amps) if h.dim >= KRYLOV_MIN_DIM and count[h] == 1 else None
+            amps = _renormalised(propagate(h, run_dt, amps, sched.alpha) if out is None else out)
         return QuantumState(amps, v.factor_dims)
     block = max(1, min(_BLOCK_SLICES, _BLOCK_ENTRIES // v.dim**2))
     for start in range(0, steps, block):

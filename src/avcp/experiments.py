@@ -24,9 +24,10 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import DimMismatch, StateSpaceTooLarge, UnboundVariable
-from .evolution import HamiltonianSchedule, evolve, real_number, whole_number
+from .evolution import HamiltonianSchedule, evolve
 from .expressions import BindingSet
-from .operators import QuantumState, born_split, expectation, inverse_cdf, make_rng, state_from_dict, state_to_dict
+from .operators import QuantumState, born_split, expectation, inverse_cdf, make_rng, real_number, whole_number
+from .operators import state_from_dict, state_to_dict
 
 #: exact enumeration refuses to expand more outcome tuples than this
 ENUMERATION_BUDGET = 10**6
@@ -189,13 +190,13 @@ class ExperimentSpec:
         return cls(
             initial_state=state_from_dict(d["state"]),
             bindings=BindingSet.from_dict(d["bindings"]),
-            implementation=d["implementation"],
-            f=d["f"],
-            target=d.get("target"),
+            implementation=_spec_field(d, "implementation", 1),
+            f=_spec_field(d, "f", 0),
+            target=_spec_field(d, "target", 0, required=False),
             evolution=(
                 EvolutionWindow.from_dict(d["evolution"], alpha) if d.get("evolution") else None
             ),
-            groups=d.get("groups"),
+            groups=_spec_field(d, "groups", 2, required=False),
         )
 
     def to_dict(self) -> dict:
@@ -211,6 +212,21 @@ class ExperimentSpec:
             out["evolution"] = self.evolution.to_dict()
         out["groups"] = [list(g) for g in self.plan.groups]
         return out
+
+
+def _spec_field(d: dict, key: str, depth: int, required: bool = True):
+    """d[key] if it is a string in `depth` nested lists, else TypeError naming it; an optional one may be null."""
+    value = d[key] if required else d.get(key)
+    if not (_strings(value, depth) or value is None and not required):
+        kind = ("a string", "a list of strings", "a list of lists of strings")[depth]
+        raise TypeError(f"{key} must be {kind}, got {value!r}")
+    return value
+
+
+def _strings(value, depth: int) -> bool:
+    if depth == 0:
+        return isinstance(value, str)
+    return isinstance(value, list) and all(_strings(v, depth - 1) for v in value)
 
 
 def _outcome_tree(spectra, state: QuantumState):

@@ -46,6 +46,7 @@ from .operators import (
     max_norm,
     operator_from_dict,
     operator_to_dict,
+    whole_number,
 )
 
 
@@ -492,7 +493,7 @@ class BindingSet:
                     f"got {type(value).__name__}"
                 )
             self._bindings[name] = MeasurementBinding(name, *value)
-        self.factor_dims = None if factor_dims is None else tuple(int(d) for d in factor_dims)
+        self.factor_dims = None if factor_dims is None else tuple(whole_number(d, "factor_dims") for d in factor_dims)
 
         dims = set() if self.factor_dims is None else {int(np.prod(self.factor_dims))}
         for b in self._bindings.values():
@@ -561,7 +562,7 @@ class BindingSet:
         for name, value in entries.items():
             op = operator_from_dict(value if "re" in value else value["operator"])
             sub = None if "re" in value else value.get("subsystem")
-            items[name] = (op, None if sub is None else int(sub))
+            items[name] = (op, None if sub is None else whole_number(sub, "subsystem"))
         return cls(items, factor_dims)
 
     def to_dict(self) -> dict:

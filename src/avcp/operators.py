@@ -13,6 +13,7 @@ import contextlib
 import ctypes
 import functools
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -38,6 +39,26 @@ DEGENERACY_RTOL = 1e-9
 STATE_NORM_TOL = 1e-12
 
 _PHASE_CUTOFF = 1e-12
+
+
+def real_number(value, name: str) -> float:
+    """A time or alpha as a float: 1 and 0.5 read; true, "0.5", null and an integer beyond the float range raise
+    ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        bits = int(value).bit_length()
+        raise ValueError(f"{name} is too large for a float, got an integer of {bits} bits") from None
+
+
+def whole_number(value, name: str) -> int:
+    """A count or seed as an int: 128 and 128.0 read as 128; 2.7, true, "128", Infinity and an integer beyond the
+    float range raise ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not real_number(value, name).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def max_norm(m) -> float:
@@ -175,7 +196,7 @@ class QuantumState:
             raise StateNotNormalized(f"norm deviates from 1 by {abs(norm - 1.0):.3e}")
         if factor_dims is None:
             factor_dims = (arr.size,)
-        factor_dims = tuple(int(d) for d in factor_dims)
+        factor_dims = tuple(whole_number(d, "factor_dims") for d in factor_dims)
         if any(d <= 0 for d in factor_dims) or int(np.prod(factor_dims)) != arr.size:
             raise DimMismatch(
                 f"factor dims {factor_dims} do not multiply to dim {arr.size}"
@@ -473,7 +494,7 @@ def _array_to_dict(arr: np.ndarray) -> dict:
 
 def _array_from_dict(d: dict, ndim: int) -> np.ndarray:
     """The complex array of `d`: a state for ndim 1, a matrix for ndim 2; a missing "im" reads as zeros."""
-    shape = (int(d["dim"]),) * ndim
+    shape = (whole_number(d["dim"], "dim"),) * ndim
     re = np.asarray(d["re"], dtype=float).reshape(shape)
     return re + 1j * np.asarray(d.get("im", np.zeros(shape)), dtype=float).reshape(shape)
 

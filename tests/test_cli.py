@@ -488,6 +488,64 @@ def test_experiment_counts_written_as_strings_exit_one(tmp_path, capsys, fields,
 
 
 @pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"implementation": "A"}, "implementation must be a list of strings, got 'A'"),
+        ({"implementation": ["A", 1]}, "implementation must be a list of strings, got ['A', 1]"),
+        ({"groups": ["A"]}, "groups must be a list of lists of strings, got ['A']"),
+        ({"groups": "A"}, "groups must be a list of lists of strings, got 'A'"),
+        ({"f": 3}, "f must be a string, got 3"),
+        ({"target": ["A"]}, "target must be a string, got ['A']"),
+    ],
+    ids=["string_implementation", "number_in_implementation", "flat_groups", "string_groups", "number_f",
+         "list_target"],
+)
+def test_experiment_spec_fields_of_another_json_type_exit_one(tmp_path, capsys, fields, message):
+    assert _experiment_run(tmp_path, capsys, **fields) == (1, "", f"error: TypeError: {message}\n")
+
+
+def test_experiment_reads_a_null_target_and_groups_as_absent(tmp_path, capsys):
+    got = _experiment_run(tmp_path, capsys, "--trials", "10", target=None, groups=None)
+    assert got[0] == 0 and got == _experiment_run(tmp_path, capsys, "--trials", "10")
+
+
+def _local_fields(state_dims=(2, 2), binding_dims=(2, 2), subsystem=1, dim=2):
+    """A d = 4 spec whose one binding acts on the second of two qubits; each count as given."""
+    state = {"dim": 4, "re": [0.6, 0.0, 0.0, 0.8], "im": [0.0] * 4, "factor_dims": state_dims}
+    op = {**matrix_to_dict(SX), "dim": dim}
+    bindings = {"bindings": {"A": {"operator": op, "subsystem": subsystem}}, "factor_dims": binding_dims}
+    return {"state": state, "bindings": bindings}
+
+
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        (_local_fields(state_dims="22"), "ValueError: factor_dims must be a whole number, got '2'"),
+        (_local_fields(state_dims=[2.9, 2]), "ValueError: factor_dims must be a whole number, got 2.9"),
+        (_local_fields(state_dims=["2", "2"]), "ValueError: factor_dims must be a whole number, got '2'"),
+        (_local_fields(binding_dims="22"), "ValueError: factor_dims must be a whole number, got '2'"),
+        (_local_fields(binding_dims=[2.9, 2]), "ValueError: factor_dims must be a whole number, got 2.9"),
+        (_local_fields(binding_dims=["2", "2"]), "ValueError: factor_dims must be a whole number, got '2'"),
+        (_local_fields(subsystem=1.7), "ValueError: subsystem must be a whole number, got 1.7"),
+        (_local_fields(subsystem="1"), "ValueError: subsystem must be a whole number, got '1'"),
+        (_local_fields(subsystem=True), "ValueError: subsystem must be a whole number, got True"),
+        (_local_fields(dim="2"), "ValueError: dim must be a whole number, got '2'"),
+    ],
+    ids=["string_state_dims", "fractional_state_dims", "string_state_dim_entries", "string_binding_dims",
+         "fractional_binding_dims", "string_binding_dim_entries", "fractional_subsystem", "string_subsystem",
+         "bool_subsystem", "string_dim"],
+)
+def test_experiment_counts_of_states_and_bindings_go_through_the_whole_number_rule(tmp_path, capsys, fields, error):
+    assert _experiment_run(tmp_path, capsys, **fields) == (1, "", f"error: {error}\n")
+
+
+def test_experiment_reads_whole_float_dims_and_subsystems_as_integers(tmp_path, capsys):
+    fields = _local_fields(state_dims=[2.0, 2], binding_dims=[2, 2.0], subsystem=1.0, dim=2.0)
+    got = _experiment_run(tmp_path, capsys, "--trials", "10", **fields)
+    assert got[0] == 0 and got == _experiment_run(tmp_path, capsys, "--trials", "10", **_local_fields())
+
+
+@pytest.mark.parametrize(
     "schedule_alpha, times, message",
     [
         ("0.5", {}, "alpha must be a real number, got '0.5'"),

@@ -43,6 +43,7 @@ from avcp.operators import (
     hermitian_gate,
     make_rng,
     max_norm,
+    operator_to_dict,
     random_hermitian,
     random_state,
 )
@@ -580,7 +581,7 @@ def _krylov_case(name, rng):
 ])
 def test_lanczos_matches_scipy_expm_or_gives_up(name, tau, falls_back):
     h, v = _krylov_case(name, make_rng(91))
-    got = avcp.evolution._lanczos(h, tau, v, [tau])
+    got = avcp.evolution._lanczos(h, tau, v)
     assert (got is None) == falls_back
     got = propagate(h, tau, v) if got is None else got  # what evolve applies in its place
     assert np.abs(got - scipy.linalg.expm(-1j * tau * h.matrix) @ v).max() <= 1e-12
@@ -591,7 +592,7 @@ def test_lanczos_raises_when_its_basis_is_not_orthonormal(monkeypatch):
     h, v = random_hermitian(256, rng), random_state(256, rng).amplitudes
     monkeypatch.setattr(avcp.evolution, "SPECTRUM_TOL", 0.0)
     with pytest.raises(ConvergenceFailure, match=r"^Krylov basis is not orthonormal$"):
-        avcp.evolution._lanczos(h, 1.0, v, [1.0])
+        avcp.evolution._lanczos(h, 1.0, v)
 
 
 def _alternating(h0, h1, runs, span=1.0):
@@ -600,25 +601,41 @@ def _alternating(h0, h1, runs, span=1.0):
     return HamiltonianSchedule.piecewise([(edges[i], edges[i + 1], (h0, h1)[i % 2]) for i in range(2 * runs)])
 
 
-def test_evolve_diagonalises_only_pieces_past_the_lanczos_bound(monkeypatch):
+def test_evolve_takes_lanczos_only_for_a_piece_with_one_run(monkeypatch):
     rng = make_rng(93)
-    h0, h1, h2, h3 = (random_hermitian(256, rng) for _ in range(4))
     v = random_state(256, rng)
     calls = _counting(monkeypatch, avcp.operators, "eigh_stack")
-    one_piece = HamiltonianSchedule.constant(h0, 0.0, 1.0)
+    one_piece = HamiltonianSchedule.constant(random_hermitian(256, rng), 0.0, 1.0)
     assert np.abs(evolve(v, one_piece, 128).amplitudes - _expm_over_runs(v, one_piece, 128)).max() <= 1e-12
     assert len(calls) == 0
-    few = _alternating(h0, h1, 2)  # two runs on each piece: 2 x 30 steps and the spread term fit in 128
-    assert np.abs(evolve(v, few, 128).amplitudes - _expm_over_runs(v, few, 128)).max() <= 1e-12
-    assert len(calls) == 0
-    # 5 x 30 > 128 steps: each piece's eigenbasis serves its five runs, also over a span so short that
-    # each run alone would converge at step 8
-    for many in (_alternating(h0, h1, 5), _alternating(h1, h2, 5, 1e-4)):
-        assert evolve(v, many, 128).amplitudes.tobytes() == _run_reference_evolve(v, many, 128).tobytes()
-    assert len(calls) == 3
-    wide = HamiltonianSchedule.constant(h3, 0.0, 1.0, 0.3)  # gives up at step 8
+    # each piece's eigenbasis serves all its runs, however few and short: over [0, 1e-4] each run alone
+    # would converge at step 8
+    for runs, span in ((2, 1.0), (5, 1.0), (2, 1e-4)):
+        many = _alternating(random_hermitian(256, rng), random_hermitian(256, rng), runs, span)
+        got = evolve(v, many, 128).amplitudes  # before the reference, which would cache both spectra
+        assert len(calls) == 2
+        assert got.tobytes() == _run_reference_evolve(v, many, 128).tobytes()
+        calls.clear()
+    wide = HamiltonianSchedule.constant(random_hermitian(256, rng), 0.0, 1.0, 0.3)  # gives up at step 8
     assert evolve(v, wide, 128).amplitudes.tobytes() == _run_reference_evolve(v, wide, 128).tobytes()
-    assert len(calls) == 4
+    assert len(calls) == 1
+
+
+def test_pieces_read_from_json_with_equal_operators_each_take_lanczos(monkeypatch):
+    """`from_dict` reads each piece's operator anew, so equal operator dicts are two pieces of one run each."""
+    rng = make_rng(96)
+    op, v = operator_to_dict(random_hermitian(256, rng)), random_state(256, rng)
+    sched = HamiltonianSchedule.from_dict([{"t0": 0.0, "t1": 0.5, "operator": op},
+                                           {"t0": 0.5, "t1": 1.0, "operator": op}])
+    runs = avcp.evolution._runs(sched, 128)
+    assert len(runs) == 2 and runs[0][0] is not runs[1][0]
+    outs, real = [], avcp.evolution._lanczos
+    monkeypatch.setattr(avcp.evolution, "_lanczos", lambda *a: outs.append(real(*a)) or outs[-1])
+    calls = _counting(monkeypatch, avcp.operators, "eigh_stack")
+    got = evolve(v, sched, 128).amplitudes
+    assert len(outs) == 2 and all(out is not None for out in outs)
+    assert len(calls) == 0
+    assert np.abs(got - _expm_over_runs(v, sched, 128)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("t2, gives_up", [(2.0, False), (4.0, True)], ids=["both_lanczos", "longer_gives_up"])

@@ -103,6 +103,13 @@ CORPUS = (
     "experiment string_seed.json --seed 1",
     "experiment bad_counts.json",
     "experiment bad_counts.json --trials 10 --seed 1",
+    "evolve --state state_d256.json --schedule twin_pieces_d256.json",
+    "experiment string_implementation.json",
+    "experiment flat_groups.json",
+    "experiment number_f.json",
+    "experiment list_target.json",
+    "experiment fractional_factor_dims.json",
+    "experiment bool_subsystem.json",
 )
 
 
@@ -193,6 +200,18 @@ def _write_inputs(folder: Path) -> None:
     write("string_n_trials.json", spec(3, small, "A + B", "100"))
     write("string_seed.json", {**spec(3, small, "A + B", 100), "seed": "7"})
     write("bad_counts.json", {**spec(3, small, "A + B", 100), "n_trials": "x", "seed": {}})
+    twin = array(hermitian(256))  # two pieces with equal operator dicts: one run each
+    write("twin_pieces_d256.json", [{"t0": 0.0, "t1": 0.5, "operator": twin}, {"t0": 0.5, "t1": 1.0, "operator": twin}])
+    write("string_implementation.json", {**spec(3, small, "A + B", 100), "implementation": "AB"})
+    write("flat_groups.json", spec(3, small, "A + B", 100, groups=["A", "B"]))
+    write("number_f.json", {**spec(3, small, "A + B", 100), "f": 3})
+    write("list_target.json", spec(3, small, "A + B", 100, target=["C"]))
+    fractional = spec(3, small, "A + B", 100)
+    fractional["state"]["factor_dims"] = [3.5]
+    write("fractional_factor_dims.json", fractional)
+    write("bool_subsystem.json", {**spec(3, small, "A + B", 100), "bindings": {
+        "bindings": {"A": {"operator": array(small["A"]), "subsystem": True}, "B": array(small["B"])},
+        "factor_dims": [3]}})
 
 
 def _run(line: str) -> tuple[int, str, str]:
