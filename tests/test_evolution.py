@@ -587,6 +587,14 @@ def test_lanczos_matches_scipy_expm_or_gives_up(name, tau, falls_back):
     assert np.abs(got - scipy.linalg.expm(-1j * tau * h.matrix) @ v).max() <= 1e-12
 
 
+@pytest.mark.parametrize("name, tau", [("random_d128_wide", 2.0), ("random_d256_wide", 3.3)])
+def test_lanczos_gives_up_by_its_step_bound_by_step_16(name, tau, monkeypatch):
+    h, v = _krylov_case(name, make_rng(91))
+    eighs = _counting(monkeypatch, np.linalg, "eigh")  # one eigh of T_m per check, every 8 steps
+    assert avcp.evolution._lanczos(h, tau, v) is None
+    assert len(eighs) <= 2
+
+
 def test_lanczos_raises_when_its_basis_is_not_orthonormal(monkeypatch):
     rng = make_rng(92)
     h, v = random_hermitian(256, rng), random_state(256, rng).amplitudes
