@@ -122,7 +122,6 @@ def commutant_scalar_residual(t: SpinTriple) -> tuple[int, float]:
     _, sing, vh = np.linalg.svd(stacked)
     cutoff = 1e-10 * (sing[0] if sing.size else 1.0)
     null = [vh[i].conj() for i in range(len(sing)) if sing[i] <= cutoff]
-    null += [vh[i].conj() for i in range(len(sing), vh.shape[0])]
     worst = 0.0
     for vec in null:
         m = vec.reshape(n, n)

@@ -46,6 +46,7 @@ from .operators import (
     max_norm,
     operator_from_dict,
     operator_to_dict,
+    read_factor_dims,
     whole_number,
 )
 
@@ -493,7 +494,7 @@ class BindingSet:
                     f"got {type(value).__name__}"
                 )
             self._bindings[name] = MeasurementBinding(name, *value)
-        self.factor_dims = None if factor_dims is None else tuple(whole_number(d, "factor_dims") for d in factor_dims)
+        self.factor_dims = None if factor_dims is None else read_factor_dims(factor_dims)
 
         dims = set() if self.factor_dims is None else {int(np.prod(self.factor_dims))}
         for b in self._bindings.values():

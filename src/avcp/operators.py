@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import json
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -59,6 +58,16 @@ def whole_number(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not real_number(value, name).is_integer():
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
+
+
+def read_factor_dims(values) -> tuple[int, ...]:
+    """Subsystem dimensions as a tuple of `whole_number`s; a value that is not a list (or other iterable)
+    raises TypeError naming the field."""
+    try:
+        entries = iter(values)
+    except TypeError:
+        raise TypeError(f"factor_dims must be a list of whole numbers, got {values!r}") from None
+    return tuple(whole_number(d, "factor_dims") for d in entries)
 
 
 def max_norm(m) -> float:
@@ -194,9 +203,7 @@ class QuantumState:
         norm = float(np.linalg.norm(arr))
         if abs(norm - 1.0) > STATE_NORM_TOL:
             raise StateNotNormalized(f"norm deviates from 1 by {abs(norm - 1.0):.3e}")
-        if factor_dims is None:
-            factor_dims = (arr.size,)
-        factor_dims = tuple(whole_number(d, "factor_dims") for d in factor_dims)
+        factor_dims = (arr.size,) if factor_dims is None else read_factor_dims(factor_dims)
         if any(d <= 0 for d in factor_dims) or int(np.prod(factor_dims)) != arr.size:
             raise DimMismatch(
                 f"factor dims {factor_dims} do not multiply to dim {arr.size}"
@@ -299,10 +306,11 @@ def eigh_stack(a: np.ndarray):
         # one np.mean per run: np.add.reduceat sums large runs in another order
         group_values[i] = np.array([float(np.mean(eigenvalues[i, lo:hi])) for lo, hi in runs])
 
+    # "not <=" in both gates, so that a nan fails them
     residual = np.abs(a @ vectors - vectors * eigenvalues[:, None, :]).max(axis=(1, 2), initial=0.0)
-    if (residual > SPECTRUM_TOL * scale).any():
+    if not (residual <= SPECTRUM_TOL * scale).all():
         raise ConvergenceFailure("eigenpair residual exceeds tolerance")
-    if max_norm(vectors.conj().transpose(0, 2, 1) @ vectors - np.eye(d)) > SPECTRUM_TOL:
+    if not max_norm(vectors.conj().transpose(0, 2, 1) @ vectors - np.eye(d)) <= SPECTRUM_TOL:
         raise ConvergenceFailure("eigenvector matrix is not unitary")
 
     eigenvalues.setflags(write=False)
@@ -381,7 +389,7 @@ def tensor(a, b):
 
 def embed_operator(op: HermitianOperator, factor_dims: Sequence[int], subsystem: int) -> HermitianOperator:
     """Embed `op`, acting on one factor, into the full composite space."""
-    factor_dims = tuple(int(d) for d in factor_dims)
+    factor_dims = read_factor_dims(factor_dims)
     if not 0 <= subsystem < len(factor_dims):
         raise DimMismatch(f"subsystem {subsystem} outside factors {factor_dims}")
     if op.dim != factor_dims[subsystem]:
@@ -493,26 +501,32 @@ def _array_to_dict(arr: np.ndarray) -> dict:
 
 
 def _array_from_dict(d: dict, ndim: int) -> np.ndarray:
-    """The complex array of `d`: a state for ndim 1, a matrix for ndim 2; a missing "im" reads as zeros."""
-    shape = (whole_number(d["dim"], "dim"),) * ndim
-    re = np.asarray(d["re"], dtype=float).reshape(shape)
-    return re + 1j * np.asarray(d.get("im", np.zeros(shape)), dtype=float).reshape(shape)
+    """The complex array of `d`: a state for ndim 1, a matrix for ndim 2; a missing "im" reads as zeros.
+    A negative "dim", then a "re" or "im" without dim (or dim^2) entries, raises ValueError naming it."""
+    dim = whole_number(d["dim"], "dim")
+    if dim < 0:
+        raise ValueError(f"dim must not be negative, got {dim}")
+    shape, size = (dim,) * ndim, dim**ndim
+
+    def part(key, values):
+        arr = np.asarray(values, dtype=float)
+        if arr.size != size:
+            raise ValueError(f"{key} must have {size} entries for dim {dim}, got {arr.size}")
+        return arr.reshape(shape)
+
+    return part("re", d["re"]) + 1j * part("im", d.get("im", np.zeros(shape)))
 
 
 def matrix_to_dict(m) -> dict:
     return _array_to_dict(as_complex_matrix(m))
 
 
-def matrix_from_dict(d: dict) -> np.ndarray:
-    return _array_from_dict(d, 2)
-
-
 def operator_to_dict(h: HermitianOperator) -> dict:
-    return matrix_to_dict(h.matrix)
+    return _array_to_dict(h.matrix)
 
 
 def operator_from_dict(d: dict) -> HermitianOperator:
-    return HermitianOperator(matrix_from_dict(d))
+    return HermitianOperator(_array_from_dict(d, 2))
 
 
 def state_to_dict(v: QuantumState) -> dict:
@@ -524,22 +538,6 @@ def state_to_dict(v: QuantumState) -> dict:
 
 def state_from_dict(d: dict) -> QuantumState:
     return QuantumState(_array_from_dict(d, 1), d.get("factor_dims"))
-
-
-def operator_to_json(h: HermitianOperator) -> str:
-    return json.dumps(operator_to_dict(h), sort_keys=True)
-
-
-def operator_from_json(text: str) -> HermitianOperator:
-    return operator_from_dict(json.loads(text))
-
-
-def state_to_json(v: QuantumState) -> str:
-    return json.dumps(state_to_dict(v), sort_keys=True)
-
-
-def state_from_json(text: str) -> QuantumState:
-    return state_from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

@@ -526,14 +526,16 @@ def _local_fields(state_dims=(2, 2), binding_dims=(2, 2), subsystem=1, dim=2):
         (_local_fields(binding_dims="22"), "ValueError: factor_dims must be a whole number, got '2'"),
         (_local_fields(binding_dims=[2.9, 2]), "ValueError: factor_dims must be a whole number, got 2.9"),
         (_local_fields(binding_dims=["2", "2"]), "ValueError: factor_dims must be a whole number, got '2'"),
+        (_local_fields(state_dims=2), "TypeError: factor_dims must be a list of whole numbers, got 2"),
+        (_local_fields(binding_dims=2), "TypeError: factor_dims must be a list of whole numbers, got 2"),
         (_local_fields(subsystem=1.7), "ValueError: subsystem must be a whole number, got 1.7"),
         (_local_fields(subsystem="1"), "ValueError: subsystem must be a whole number, got '1'"),
         (_local_fields(subsystem=True), "ValueError: subsystem must be a whole number, got True"),
         (_local_fields(dim="2"), "ValueError: dim must be a whole number, got '2'"),
     ],
     ids=["string_state_dims", "fractional_state_dims", "string_state_dim_entries", "string_binding_dims",
-         "fractional_binding_dims", "string_binding_dim_entries", "fractional_subsystem", "string_subsystem",
-         "bool_subsystem", "string_dim"],
+         "fractional_binding_dims", "string_binding_dim_entries", "number_state_dims", "number_binding_dims",
+         "fractional_subsystem", "string_subsystem", "bool_subsystem", "string_dim"],
 )
 def test_experiment_counts_of_states_and_bindings_go_through_the_whole_number_rule(tmp_path, capsys, fields, error):
     assert _experiment_run(tmp_path, capsys, **fields) == (1, "", f"error: {error}\n")

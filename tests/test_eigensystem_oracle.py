@@ -243,6 +243,17 @@ def test_one_bad_matrix_fails_the_whole_stack():
         eigensystems([*mats[:2], bad, *mats[3:]])
 
 
+@pytest.mark.parametrize(
+    "m",
+    [[[np.nan, 0], [0, 1]], [[1, 0], [np.nan, 1]], [[np.inf, 0], [0, 1]]],
+    ids=["nan_diagonal", "nan_lower", "inf_diagonal"],
+)
+def test_eigensystems_reject_a_matrix_with_a_non_finite_entry(m):
+    # eigh returns nan eigenpairs here; the gates must fail on them, not pass them
+    with np.errstate(invalid="ignore"), pytest.raises(ConvergenceFailure, match="residual"):
+        eigensystems([m])
+
+
 def test_eigensystems_rejects_a_stack_that_is_not_square_matrices():
     with pytest.raises(DimMismatch):
         eigensystems(np.eye(3))

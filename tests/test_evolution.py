@@ -595,6 +595,16 @@ def test_lanczos_gives_up_by_its_step_bound_by_step_16(name, tau, monkeypatch):
     assert len(eighs) <= 2
 
 
+def test_lanczos_gives_up_after_d_over_2_steps_and_evolve_then_propagates(monkeypatch):
+    h, v = _krylov_case("random_d128_wide", make_rng(91))
+    monkeypatch.setattr(avcp.evolution, "_KRYLOV_RUN_STEPS", -(10**9))  # the step bound never passes d / 2
+    eighs = _counting(monkeypatch, np.linalg, "eigh")
+    assert avcp.evolution._lanczos(h, 2.0, v) is None
+    assert len(eighs) == 64 // 8  # a check every 8 steps, through all d / 2 = 64
+    got = evolve(QuantumState(v), HamiltonianSchedule.constant(h, 0.0, 2.0), 64).amplitudes
+    assert np.abs(got - scipy.linalg.expm(-2j * h.matrix) @ v).max() <= 1e-12
+
+
 def test_lanczos_raises_when_its_basis_is_not_orthonormal(monkeypatch):
     rng = make_rng(92)
     h, v = random_hermitian(256, rng), random_state(256, rng).amplitudes
@@ -757,6 +767,30 @@ def test_schedule_json_round_trip():
     other = HamiltonianSchedule.from_dict(sched.to_dict())
     assert other.alpha == 0.7
     assert np.allclose(other.pieces[0][2].matrix, h.matrix)
+
+
+def test_piecewise_schedule_pieces_must_share_one_dimension():
+    pieces = [(0.0, 1.0, random_hermitian(3, make_rng(6))), (1.0, 2.0, random_hermitian(2, make_rng(7)))]
+    with pytest.raises(DimMismatch, match=re.escape("schedule pieces disagree on dimension: [2, 3]")):
+        HamiltonianSchedule.piecewise(pieces)
+
+
+def test_only_piecewise_schedules_serialize():
+    sched = HamiltonianSchedule.from_function(lambda t: SZ, 0.0, 1.0)
+    with pytest.raises(ValueError, match="^only piecewise schedules serialize to JSON$"):
+        sched.to_dict()
+
+
+@pytest.mark.parametrize("drift, raises", [(1e-13, False), (1e-9, True)])
+def test_evolve_raises_when_one_propagation_drifts_from_unit_norm(drift, raises, monkeypatch):
+    sched = HamiltonianSchedule.constant(random_hermitian(3, make_rng(8)), 0.0, 1.0)
+    v = random_state(3, make_rng(9))
+    monkeypatch.setattr(avcp.evolution, "propagate", lambda h, dt, amps, alpha: amps * (1 + drift))
+    if raises:
+        with pytest.raises(DimMismatch, match=r"^norm drifted by 1\.000e-09 in one slice$"):
+            evolve(v, sched, 4)
+    else:  # within tolerance the state is renormalised
+        assert np.abs(evolve(v, sched, 4).amplitudes - v.amplitudes).max() <= 1e-15
 
 
 def test_evolve_dim_mismatch():

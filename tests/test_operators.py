@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,19 +24,16 @@ from avcp.operators import (
     hermitian_from_matrix,
     inverse_cdf,
     make_rng,
-    matrix_from_dict,
     matrix_to_dict,
     max_norm,
     measure_projective,
-    operator_from_json,
-    operator_to_json,
+    operator_from_dict,
+    operator_to_dict,
     outcome_probabilities,
     random_hermitian,
     random_state,
     state_from_dict,
-    state_from_json,
     state_to_dict,
-    state_to_json,
     tensor,
 )
 from avcp.verify import run_suite
@@ -431,27 +429,26 @@ def test_measurement_phase_invariance():
 # --- serialization ---------------------------------------------------------------------
 
 
-def test_operator_json_round_trip():
+def test_operator_dict_round_trip():
     h = random_hermitian(3, make_rng(21))
-    other = operator_from_json(operator_to_json(h))
+    other = operator_from_dict(json.loads(json.dumps(operator_to_dict(h))))
     assert np.array_equal(other.matrix, h.matrix)
+    assert operator_to_dict(h) == matrix_to_dict(h.matrix)
 
 
-def test_state_json_round_trip():
+def test_state_dict_round_trip():
     v = random_state(6, make_rng(22), factor_dims=(2, 3))
-    other = state_from_json(state_to_json(v))
+    other = state_from_dict(json.loads(json.dumps(state_to_dict(v))))
     assert np.array_equal(other.amplitudes, v.amplitudes)
     assert other.factor_dims == (2, 3)
-    assert json.loads(state_to_json(v))["factor_dims"] == [2, 3]
+    assert state_to_dict(v)["factor_dims"] == [2, 3]
     # `evolve --format text` prints the dict as it is, so its key order is output
     assert list(state_to_dict(v)) == ["dim", "re", "im", "factor_dims"]
     assert list(state_to_dict(QuantumState([1, 0]))) == ["dim", "re", "im"]
-    again = state_from_dict(state_to_dict(v))
-    assert np.array_equal(again.amplitudes, v.amplitudes) and again.factor_dims == (2, 3)
 
 
 def test_matrix_dict_without_im_is_real():
-    m = matrix_from_dict({"dim": 2, "re": [1.0, -0.5, -0.5, 2.0]})
+    m = operator_from_dict({"dim": 2, "re": [1.0, -0.5, -0.5, 2.0]}).matrix
     assert m.dtype == complex
     assert np.array_equal(m, np.array([[1.0, -0.5], [-0.5, 2.0]], dtype=complex))
     assert matrix_to_dict(m) == {"dim": 2, "re": [1.0, -0.5, -0.5, 2.0], "im": [0.0, 0.0, 0.0, 0.0]}
@@ -459,7 +456,36 @@ def test_matrix_dict_without_im_is_real():
 
 
 def test_a_bad_re_is_reported_before_a_bad_im():
-    with pytest.raises(ValueError, match="size 3 into shape"):
-        matrix_from_dict({"dim": 2, "re": [1.0, 0.0, 0.0], "im": [0.0]})
-    with pytest.raises(ValueError, match="size 3 into shape"):
+    with pytest.raises(ValueError, match="^re must have 4 entries for dim 2, got 3$"):
+        operator_from_dict({"dim": 2, "re": [1.0, 0.0, 0.0], "im": [0.0]})
+    with pytest.raises(ValueError, match="^re must have 2 entries for dim 2, got 3$"):
         state_from_dict({"dim": 2, "re": [1.0, 0.0, 0.0], "im": [0.0]})
+
+
+@pytest.mark.parametrize(
+    "read, doc, message",
+    [
+        (state_from_dict, {"dim": 2, "re": [1.0], "im": [0.0]}, "re must have 2 entries for dim 2, got 1"),
+        (state_from_dict, {"dim": 2, "re": [1.0, 0.0], "im": [0.0]}, "im must have 2 entries for dim 2, got 1"),
+        (operator_from_dict, {"dim": 2, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 5},
+         "im must have 4 entries for dim 2, got 5"),
+        (state_from_dict, {"dim": -1, "re": [1.0]}, "dim must not be negative, got -1"),
+        (operator_from_dict, {"dim": -2, "re": [1.0, 0.0, 0.0, 1.0]}, "dim must not be negative, got -2"),
+    ],
+    ids=["short_state_re", "short_state_im", "long_operator_im", "negative_state_dim", "negative_operator_dim"],
+)
+def test_a_dict_field_of_the_wrong_size_is_named(read, doc, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read(doc)
+
+
+@pytest.mark.parametrize("value", [2, 2.0, True], ids=["int", "float", "bool"])
+def test_factor_dims_that_are_not_a_list_raise_type_error(value):
+    with pytest.raises(TypeError, match=re.escape(f"factor_dims must be a list of whole numbers, got {value!r}")):
+        QuantumState([0.6, 0.8], value)
+
+
+def test_embed_operator_reads_factor_dims_through_the_whole_number_rule():
+    with pytest.raises(ValueError, match="^factor_dims must be a whole number, got 2.5$"):
+        embed_operator(HermitianOperator(SX), [2, 2.5], 0)
+    assert np.array_equal(embed_operator(HermitianOperator(SX), [2.0, 3], 0).matrix, np.kron(SX, np.eye(3)))

@@ -110,6 +110,10 @@ CORPUS = (
     "experiment list_target.json",
     "experiment fractional_factor_dims.json",
     "experiment bool_subsystem.json",
+    "experiment number_factor_dims.json",
+    "experiment number_binding_factor_dims.json",
+    "experiment short_re.json",
+    "experiment long_im.json",
 )
 
 
@@ -212,6 +216,17 @@ def _write_inputs(folder: Path) -> None:
     write("bool_subsystem.json", {**spec(3, small, "A + B", 100), "bindings": {
         "bindings": {"A": {"operator": array(small["A"]), "subsystem": True}, "B": array(small["B"])},
         "factor_dims": [3]}})
+    number_dims = spec(3, small, "A + B", 100)
+    number_dims["state"]["factor_dims"] = 3
+    write("number_factor_dims.json", number_dims)
+    write("number_binding_factor_dims.json", {**spec(3, small, "A + B", 100), "bindings": {
+        "bindings": {"A": {"operator": array(small["A"]), "subsystem": 0}, "B": array(small["B"])}, "factor_dims": 3}})
+    short_re = spec(3, small, "A + B", 100)
+    short_re["state"]["re"] = short_re["state"]["re"][:2]
+    write("short_re.json", short_re)
+    long_im = spec(3, small, "A + B", 100)
+    long_im["bindings"]["B"]["im"] += [0.0]
+    write("long_im.json", long_im)
 
 
 def _run(line: str) -> tuple[int, str, str]:
