@@ -26,7 +26,7 @@ from . import expressions as ex
 from .errors import DimMismatch, StateSpaceTooLarge, UnboundVariable
 from .evolution import HamiltonianSchedule, evolve
 from .expressions import BindingSet
-from .operators import QuantumState, born_split, expectation, inverse_cdf, make_rng, real_number, whole_number
+from .operators import QuantumState, born_split, cdf_table, draw_flat, expectation, make_rng, real_number, whole_number
 from .operators import state_from_dict, state_to_dict
 
 #: exact enumeration refuses to expand more outcome tuples than this
@@ -34,6 +34,10 @@ ENUMERATION_BUDGET = 10**6
 #: verdict: |lhs - rhs| <= AVCP_RTOL * (1 + |lhs|)
 AVCP_RTOL = 1e-9
 _BRANCH_PRUNE = 1e-30
+#: trials per block of `run_trials`.  In process, a perfbench `trials` cycle (seed 7) took 18.4, 14.5, 13.7,
+#: 13.3 and 15.2 ms in blocks of 2^10, 2^12, 2^13, 2^14 and 2^15 rows, and 15.4 ms in one block; 2^13 is the
+#: largest that took no more minor page faults per cycle than 2^12 (1,141, against 1,943 at 2^14)
+TRIAL_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -356,43 +360,59 @@ class ExperimentReport:
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
 
-def _draw(levels, columns) -> list[np.ndarray]:
-    """Per-trial outcome values of each measurement on one copy, drawn down its `_outcome_tree` levels.
+def _lookup_tables(levels) -> list[tuple]:
+    """Per `_outcome_tree` level: its `cdf_table`, and per flat (node, group) index the branch's value and
+    the rank of its node among the next level's (the kept branches, row-major; a pruned one is never drawn)."""
+    return [
+        (cdf_table(weights), np.tile(group_values, len(weights)), np.cumsum(weights.ravel() > 0) - 1)
+        for weights, group_values in levels
+    ]
 
-    Measurement j draws each trial's group from its node's weight row with the next column of `columns`,
-    and the trial moves on to the rank of its (node, group) among the kept branches: O(nodes*G + n) per slot.
+
+def _draw(tables, columns) -> list[np.ndarray]:
+    """Per-trial outcome values of each measurement on one copy, drawn down its `_lookup_tables`.
+
+    Measurement j draws each trial's flat (node, group) index from its node's row with the next column
+    of `columns`, and reads the branch's value and the trial's next node from the level's tables:
+    a guide gather, a short fix-up and two gathers, O(n) expected time and memory per slot for n trials.
     """
     at, out = 0, []
-    for (weights, group_values), u in zip(levels, columns):
-        idx = inverse_cdf(weights, at, u)
-        out.append(group_values[idx])
-        at = (np.cumsum(weights > 0) - 1)[at * weights.shape[1] + idx]
+    for (table, values, ranks), u in zip(tables, columns):
+        pos = draw_flat(table, at, u)
+        out.append(values[pos])
+        at = ranks[pos]
     return out
 
 
 def run_trials(spec: ExperimentSpec, n: int, seed: int) -> ExperimentReport:
     """Run `n` independent trials of the experimental arrangement.
 
-    Trial i draws its randomness from row i of a uniform table generated
-    once from `seed` (one column per measurement slot, target last), so the
-    outcome of a trial is a function of (seed, trial index) alone and the
-    report does not depend on execution order.  The exact values come first,
-    so a non-simple `f` or too many outcome tuples fail before any trial.
-    Trials walk the outcome trees the enumeration built, at O(nodes*G + n)
-    expected time and O(n + nodes*G) memory per slot.
+    Trial i draws its randomness from row i of a uniform table from `seed` (one column per measurement
+    slot, target last), so the outcome of a trial is a function of (seed, trial index) alone and the
+    report does not depend on execution order.  The exact values come first, so a non-simple `f` or too
+    many outcome tuples fail before any trial.  Each outcome-tree level's `_lookup_tables` are built
+    once, and the table is drawn and walked in blocks of TRIAL_BLOCK rows, which `Generator.random` fills
+    in order from the one stream: O(nodes*G + n) expected time per slot, and O(n) memory for the
+    returned arrays plus O(TRIAL_BLOCK * slots) for a block and O(nodes*k) for the guides.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = make_rng(seed)  # a bad seed fails here, before any exact work
     target_op, exact = _exact(spec)
-    uniforms = rng.random((n, len(spec.plan.slots()) + 1))
     _, _, target_levels = _outcome_tree([target_op.spectrum], spec.state_at_t2())
-    (target_vals,) = _draw(target_levels, [uniforms[:, -1]])
-
-    columns = iter(uniforms.T)
-    values: dict[str, np.ndarray] = {}
-    for group, (_, _, levels) in zip(spec.plan.groups, spec._trees):
-        values.update(zip(group, _draw(levels, columns)))
+    target_tables = _lookup_tables(target_levels)
+    copy_tables = [_lookup_tables(levels) for _, _, levels in spec._trees]
+    n_slots = len(spec.plan.slots())
+    target_vals = np.empty(n)
+    values = {name: np.empty(n) for _, name in spec.plan.slots()}
+    for lo in range(0, n, TRIAL_BLOCK):
+        uniforms = rng.random((min(TRIAL_BLOCK, n - lo), n_slots + 1))
+        block = slice(lo, lo + len(uniforms))
+        (target_vals[block],) = _draw(target_tables, [uniforms[:, -1]])
+        columns = iter(uniforms.T)
+        for group, tables in zip(spec.plan.groups, copy_tables):
+            for name, drawn in zip(group, _draw(tables, columns)):
+                values[name][block] = drawn
 
     f_vals = np.asarray(ex.evaluate(spec.f, values), dtype=float)
     if f_vals.ndim == 0:

@@ -11,6 +11,7 @@ over the same oracle's terms bounds the enumeration's summation error.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from avcp.errors import DomainError, StateSpaceTooLarge
 from avcp.evolution import HamiltonianSchedule
 from avcp.experiments import (
     ENUMERATION_BUDGET,
+    TRIAL_BLOCK,
     EvolutionWindow,
     ExperimentSpec,
     enumerate_expectation,
@@ -215,8 +217,18 @@ ENUMERATION_CORPUS = CORPUS + _enumeration_cases()
 SEEDS = (0, 1, 7)
 
 
-def _trials(spec: ExperimentSpec) -> int:
-    return 600 if spec.bindings.dim >= 32 else 2000
+#: trial counts that straddle run_trials' block of TRIAL_BLOCK rows, on small-d entries
+_STRADDLING = {
+    "split_d2": TRIAL_BLOCK - 1,
+    "repeat_split_d3": TRIAL_BLOCK,
+    "same_copy_d3": TRIAL_BLOCK + 1,
+    "same_copy_d2": 2 * TRIAL_BLOCK + 3,
+    "degenerate_d3": 2 * TRIAL_BLOCK + 3,
+}
+
+
+def _trials(label: str, spec: ExperimentSpec) -> int:
+    return _STRADDLING.get(label, 600 if spec.bindings.dim >= 32 else 2000)
 
 
 def test_corpus_shapes():
@@ -232,7 +244,7 @@ def test_corpus_shapes():
 
 @pytest.mark.parametrize("label,spec", CORPUS, ids=[label for label, _ in CORPUS])
 def test_sampled_outcomes_match_dense_oracle(label, spec):
-    n = _trials(spec)
+    n = _trials(label, spec)
     mismatches = 0
     for seed in SEEDS:
         report = run_trials(spec, n, seed)
@@ -241,6 +253,21 @@ def test_sampled_outcomes_match_dense_oracle(label, spec):
             mismatches += int(np.count_nonzero(report.trial_values[name] != want))
         mismatches += int(np.count_nonzero(report.trial_target != target))
     assert mismatches == 0, f"{label}: {mismatches} (seed, trial, slot) outcomes differ"
+
+
+def test_trials_hold_no_more_than_half_again_their_returned_arrays():
+    # the whole (n, slots + 1) uniform table came to 76 MB here, against 30.5 MB of trial arrays
+    spec = dict(CORPUS)["split_d3"]
+    tracemalloc.start()
+    try:
+        report = run_trials(spec, 10**6, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = [report.trial_target, report.trial_f, *report.trial_values.values()]
+    returned = sum(a.nbytes for a in arrays)
+    assert returned == 4 * 8 * 10**6
+    assert peak <= 1.5 * returned, f"peak traced memory {peak / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("label,spec", ENUMERATION_CORPUS, ids=[label for label, _ in ENUMERATION_CORPUS])

@@ -541,6 +541,12 @@ def test_experiment_counts_of_states_and_bindings_go_through_the_whole_number_ru
     assert _experiment_run(tmp_path, capsys, **fields) == (1, "", f"error: {error}\n")
 
 
+def test_experiment_with_a_null_state_im_is_a_type_error_line_naming_it(tmp_path, capsys):
+    state = {"dim": 2, "re": [1.0, 0.0], "im": None}
+    got = _experiment_run(tmp_path, capsys, state=state)
+    assert got == (1, "", "error: TypeError: im must be a flat list of real numbers, got None\n")
+
+
 def test_experiment_reads_whole_float_dims_and_subsystems_as_integers(tmp_path, capsys):
     fields = _local_fields(state_dims=[2.0, 2], binding_dims=[2, 2.0], subsystem=1.0, dim=2.0)
     got = _experiment_run(tmp_path, capsys, "--trials", "10", **fields)

@@ -703,7 +703,7 @@ def test_a_pruned_branch_is_never_drawn():
     u = np.array([1e-32])
     weights = levels[0][0]
     assert weights[0, 0] == 0.0 and weights[0, 1] > 0.99
-    (drawn,) = experiments._draw(levels, iter([u]))
+    (drawn,) = experiments._draw(experiments._lookup_tables(levels), iter([u]))
     assert drawn.tolist() == [1.0]
     # unpruned, the 1e-31 branch would take this draw
     raw, _ = operators.born_split(op.spectrum, state.amplitudes[None, :])

@@ -3,11 +3,12 @@
 `_reference_inverse_cdf` is the sampler's earlier inverse CDF, kept verbatim:
 it compares every draw with every normalised cumulative sum of its row, an
 n x (G - 1) table.  The library finds the same count by indexed search (a
-guide row of k >= 2G cells per weight row), so these tests require `==`
-indices on hypothesis-drawn weights and draws, including the draws where an
-off-by-one would show: u = 0, the largest draw 1 - 2**-53, draws equal to a
-cumulative sum or next to one, and draws on the guide's cell edges b/k.  They
-also pin the domain checks and the memory bound at n = 1e5 and G = 256.
+guide row of k >= 8G cells per weight row, k a power of two), so these tests
+require `==` indices on hypothesis-drawn weights and draws, including the
+draws where an off-by-one would show: u = 0, the largest draw 1 - 2**-53,
+draws equal to a cumulative sum or next to one, and draws on the guide's
+cell edges b/k.  They also pin the domain checks and the memory bound at
+n = 1e5 and G = 256.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from avcp.operators import inverse_cdf
+from avcp.operators import GUIDE_CELLS_PER_GROUP, cdf_table, inverse_cdf
 
 _TOP_DRAW = 1.0 - 2.0**-53
 
@@ -54,7 +55,8 @@ def _draws(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Uniform draws, u = 0, the top draw, every cumulative sum and its neighbours, and cell edges b/k."""
     cum = np.cumsum(weights, axis=1)
     cum = (cum / cum[:, -1:]).ravel()
-    k = 1 << (2 * weights.shape[1] - 1).bit_length()
+    k = cdf_table(weights).cells
+    assert k >= GUIDE_CELLS_PER_GROUP * weights.shape[1] and k & (k - 1) == 0
     edges = np.arange(k) / k
     u = np.concatenate(
         [

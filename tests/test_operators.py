@@ -479,6 +479,46 @@ def test_a_dict_field_of_the_wrong_size_is_named(read, doc, message):
         read(doc)
 
 
+_WRONG_TYPE = "must be a flat list of real numbers, got"
+
+
+@pytest.mark.parametrize(
+    "read, doc, message",
+    [
+        (state_from_dict, {"dim": 2, "re": "ab"}, f"re {_WRONG_TYPE} 'ab'"),
+        (state_from_dict, {"dim": 1, "re": "1"}, f"re {_WRONG_TYPE} '1'"),
+        (state_from_dict, {"dim": 2, "re": ["1", "0"]}, f"re {_WRONG_TYPE} ['1', '0']"),
+        (state_from_dict, {"dim": 2, "re": [1.0, 0.0], "im": None}, f"im {_WRONG_TYPE} None"),
+        (state_from_dict, {"dim": 2, "re": [1.0, None]}, f"re {_WRONG_TYPE} [1.0, None]"),
+        (operator_from_dict, {"dim": 2, "re": [[1, 0], [0]]}, f"re {_WRONG_TYPE} [[1, 0], [0]]"),
+        (operator_from_dict, {"dim": 2, "re": [[1, 0], [0, 1]]}, f"re {_WRONG_TYPE} [[1, 0], [0, 1]]"),
+        (operator_from_dict, {"dim": 1, "re": [1.0], "im": {"0": 0.0}}, f"im {_WRONG_TYPE} {{'0': 0.0}}"),
+        (operator_from_dict, {"dim": 4, "re": ["0"] * 16}, f"re {_WRONG_TYPE} ['0', '0', '0', '0', '0', '0', ...]"),
+    ],
+    ids=["string", "numeric_string", "list_of_strings", "null_im", "null_entry", "ragged", "nested", "object_im",
+         "long_list_of_strings"],
+)
+def test_a_re_or_im_that_is_not_a_flat_list_of_numbers_is_a_type_error_naming_it(read, doc, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        read(doc)
+
+
+def test_an_entry_beyond_the_float_range_is_a_value_error_naming_the_field():
+    with pytest.raises(ValueError, match="^im has an integer entry too large for a float$"):
+        state_from_dict({"dim": 2, "re": [1, 0], "im": [0, 10**400]})
+
+
+def test_a_dict_round_trip_at_d256_fills_no_zeros(monkeypatch):
+    # the missing-"im" default was built on every read, "im" or not: 512 KB at d = 256
+    h = random_hermitian(256, make_rng(31))
+    filled = []
+    real_zeros = np.zeros
+    monkeypatch.setattr(np, "zeros", lambda *a, **k: filled.append(a) or real_zeros(*a, **k))
+    back = operator_from_dict(operator_to_dict(h))
+    assert filled == []
+    assert np.array_equal(back.matrix, h.matrix)
+
+
 @pytest.mark.parametrize("value", [2, 2.0, True], ids=["int", "float", "bool"])
 def test_factor_dims_that_are_not_a_list_raise_type_error(value):
     with pytest.raises(TypeError, match=re.escape(f"factor_dims must be a list of whole numbers, got {value!r}")):
