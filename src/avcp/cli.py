@@ -24,7 +24,7 @@ from . import demos as demo_mod
 from . import expressions as ex
 from . import verify as verify_mod
 from .errors import AvcpError, NonSimpleExpression, NonSimpleInput
-from .evolution import HamiltonianSchedule, evolve
+from .evolution import DEFAULT_STEPS, HamiltonianSchedule, evolve
 from .experiments import ExperimentSpec, run_trials
 from .expressions import BindingSet
 from .kinematics import build_fock
@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "evolve", "evolve a state along a Hamiltonian schedule", _evolve, ("alpha",))
     p.add_argument("--state", required=True)
     p.add_argument("--schedule", required=True)
-    p.add_argument("--steps", type=int, default=128)
+    p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
 
     for suite, summary in (("kinematics", "position/momentum representation checks"),
                            ("angular", "angular momentum checks")):
@@ -160,6 +160,9 @@ def _experiment(args) -> int:
     spec = ExperimentSpec.from_dict(raw, alpha)
     n = whole_number(raw.get("n_trials", _OPTIONS["trials"]["default"]), "n_trials")  # checked though a flag wins
     seed = whole_number(raw.get("seed", _OPTIONS["seed"]["default"]), "seed")
+    for name, value, least in (("n_trials", n, 1), ("seed", seed, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     report = run_trials(spec, n if args.trials is None else args.trials, seed if args.seed is None else args.seed)
     _emit(report.to_dict(), args.format, args.out, text_renderer=lambda d: report.to_text())
     return 0

@@ -61,6 +61,8 @@ _KRYLOV_CHECK_EVERY, _KRYLOV_SPREAD_STEP = 8, 16
 #: a run's Lanczos step bound is e (theta_max - theta_min) |tau| / 4 plus this (at d = 256, runs with a spread
 #: times |tau| of 0.6 to 124 took 16 to 104 steps); a run whose bound passes d / 2 keeps its piece's eigenbasis
 _KRYLOV_RUN_STEPS = 30
+#: slices per evolution where none is given: an experiment window's "steps" and `avcp evolve --steps`
+DEFAULT_STEPS = 128
 
 
 def require_alpha(alpha: float) -> float:

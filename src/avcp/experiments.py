@@ -24,7 +24,7 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import DimMismatch, StateSpaceTooLarge, UnboundVariable
-from .evolution import HamiltonianSchedule, evolve
+from .evolution import DEFAULT_STEPS, HamiltonianSchedule, evolve
 from .expressions import BindingSet
 from .operators import QuantumState, born_split, cdf_table, draw_flat, expectation, make_rng, real_number, whole_number
 from .operators import state_from_dict, state_to_dict
@@ -82,7 +82,7 @@ class EvolutionWindow:
     schedule: HamiltonianSchedule
     t1: float
     t2: float
-    steps: int = 128
+    steps: int = DEFAULT_STEPS
 
     def __post_init__(self):
         if whole_number(self.steps, "steps") < 1:
@@ -100,7 +100,7 @@ class EvolutionWindow:
     @classmethod
     def from_dict(cls, d: dict, alpha: float = 1.0) -> "EvolutionWindow":
         schedule = d["schedule"]  # read first, so that a window that is not an object is a TypeError
-        steps = whole_number(d.get("steps", 128), "steps")
+        steps = whole_number(d.get("steps", DEFAULT_STEPS), "steps")
         return cls(HamiltonianSchedule.from_dict(schedule, alpha), real_number(d["t1"], "t1"),
                    real_number(d["t2"], "t2"), steps)
 

@@ -435,8 +435,8 @@ def born_split(spectrum: Spectrum, states: np.ndarray):
 #: guide cells per outcome group: a node's guide has k cells, the least power of two >= 8G.  A draw
 #: enters the fix-up loop only when its cell holds a sum at or below it: on perfbench's `trials` specs
 #: (seed 7) 12-22% of the draws at 2G cells and 3-6% at 8G.  In process, a `trials` cycle took 15.6, 15.3,
-#: 14.9 and 14.6 ms at 2G, 4G, 8G and 16G cells, and `inverse_cdf` on 256 nodes x 256 groups peaked at
-#: 3.1, 4.1, 6.1 and 10.1 MB traced.
+#: 14.9 and 14.6 ms at 2G, 4G, 8G and 16G cells, and `cdf_table` + `draw_flat` on 256 nodes x 256 groups
+#: peaked at 3.1, 4.1, 6.1 and 10.1 MB traced.
 GUIDE_CELLS_PER_GROUP = 8
 
 
@@ -480,7 +480,8 @@ def draw_flat(table: CdfTable, rows: np.ndarray | int, u: np.ndarray) -> np.ndar
 
     The group is the count of the node's sums <= u.  A draw starts at its cell's guide entry and steps
     past the sums inside its cell, fewer than G/k < 1/8 steps per draw on average; the node's last sum,
-    1.0, stops it.  O(n) expected time and memory for n draws; u is not checked.
+    1.0, stops it.  O(n) expected time and memory for n draws.  u is not checked: every draw in avcp comes
+    from `Generator.random`, and `run_trials`, `measure_projective` and `verify operators` all draw here.
     """
     sums, guide, k = table
     pos = guide[(u * k).astype(np.intp) + k * rows]
@@ -491,39 +492,16 @@ def draw_flat(table: CdfTable, rows: np.ndarray | int, u: np.ndarray) -> np.ndar
     return pos
 
 
-def inverse_cdf(weights: np.ndarray, rows: np.ndarray | int, u: np.ndarray) -> np.ndarray:
-    """Outcome groups u draws from the normalised cumulative weights of `rows` (an index or array).
-
-    The count of sums <= u[t] (`searchsorted`, side="right"), at most G - 1: `draw_flat` on the
-    `cdf_table` of `weights`, whose guide takes under 128*G bytes per weight row.  O(n + nodes*G)
-    expected time and memory for n draws and (nodes, G) weights; no n x G table is ever built.
-    Raises ValueError, before any table is built, for a draw outside [0, 1), and for a weight row
-    with a negative weight or without a finite positive sum.
-    """
-    if not (u.min(initial=0.0) >= 0 and u.max(initial=0.0) < 1):  # a nan fails both
-        raise ValueError(f"uniform draw {float(u[~((u >= 0) & (u < 1))][0])!r} is outside [0, 1)")
-    rows = np.asarray(rows, dtype=np.intp)
-    pos = draw_flat(cdf_table(weights), rows, u)
-    pos -= weights.shape[1] * rows
-    return pos
-
-
-def outcome_probabilities(v: QuantumState, h: HermitianOperator) -> np.ndarray:
-    """Born probabilities of each outcome group of `h` in state `v` (`born_split`, normalised)."""
-    weights = born_split(h.spectrum, v.amplitudes[None, :])[0][0]
-    return weights / weights.sum()
-
-
 def measure_projective(v: QuantumState, h: HermitianOperator, rng: np.random.Generator) -> MeasurementOutcome:
     """Projective measurement with collapse onto the outcome eigenspace.
 
     Consumes exactly one uniform draw from `rng` and selects the outcome by
     inverting the cumulative Born distribution over outcome groups, taken in
-    spectrum order: the one-state case of `born_split` and `inverse_cdf`.
+    spectrum order: the one-state case of `born_split` and `draw_flat`.
     """
     s = h.spectrum
     weights, children = born_split(s, v.amplitudes[None, :])
-    idx = inverse_cdf(weights, 0, np.array([rng.random()]))
+    idx = draw_flat(cdf_table(weights), 0, np.array([rng.random()]))
     collapsed = QuantumState(children(0, idx)[0], v.factor_dims)
     return MeasurementOutcome(float(s.group_values[idx[0]]), collapsed, int(idx[0]))
 

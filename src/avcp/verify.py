@@ -39,9 +39,10 @@ from .operators import (
     QuantumState,
     apply_spectral_function,
     born_split,
+    cdf_table,
     commutator,
+    draw_flat,
     expectation,
-    inverse_cdf,
     make_rng,
     max_norm,
     operator_from_dict,
@@ -118,7 +119,7 @@ def _suite_operators(seed: int, alpha: float, levels: int, dims) -> Iterator[dic
     )
     n_draws = 6000
     weights = born_split(probe.spectrum, state3.amplitudes[None, :])[0]
-    idx = inverse_cdf(weights, 0, rng.random(n_draws))
+    idx = draw_flat(cdf_table(weights), 0, rng.random(n_draws))
     freq = np.bincount(idx, minlength=len(probs)) / n_draws
     z = 0.0
     for pk, fk in zip(probs, freq):

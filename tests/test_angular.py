@@ -38,6 +38,13 @@ def test_min_dimension():
         spin_operators(1)
 
 
+def test_component_names_its_axis():
+    t = spin_operators(3)
+    assert t.component("y") is t.ly
+    with pytest.raises(ValueError, match="axis must be x, y or z, not 'w'"):
+        t.component("w")
+
+
 def test_casimir_spin_half():
     t = spin_operators(2)
     assert np.allclose(casimir_matrix(t), 0.75 * np.eye(2), atol=1e-12)

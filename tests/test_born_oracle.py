@@ -4,7 +4,7 @@
 enumerator that `avcp.experiments` used before it sampled from the per-copy
 outcome tree in the eigenbasis.  They are kept verbatim: they build every
 group projector and project every trial, so they are slow, but they share no
-code with `born_split` or `inverse_cdf`, and so check both the
+code with `born_split` or `draw_flat`, and so check both the
 sampled outcomes and the exact enumeration independently.  A `math.fsum`
 over the same oracle's terms bounds the enumeration's summation error.
 """
@@ -31,8 +31,8 @@ from avcp.expressions import BindingSet
 from avcp.operators import (
     HermitianOperator,
     QuantumState,
+    born_split,
     make_rng,
-    outcome_probabilities,
     random_commuting_family,
     random_hermitian,
     random_state,
@@ -300,9 +300,10 @@ def test_three_copy_enumeration_against_fsum():
 
 
 @pytest.mark.parametrize("label,spec", CORPUS, ids=[label for label, _ in CORPUS])
-def test_outcome_probabilities_match_projectors(label, spec):
+def test_born_split_weights_match_projectors(label, spec):
     v = spec.state_at_t1()
     for name in spec.implementation:
         h = spec.bindings.embedded(name)
         probs = np.array([np.vdot(v.amplitudes, p @ v.amplitudes).real for p in h.spectrum.projectors()])
-        assert np.abs(outcome_probabilities(v, h) - probs / probs.sum()).max() <= 1e-12
+        weights = born_split(h.spectrum, v.amplitudes[None, :])[0][0]
+        assert np.abs(weights / weights.sum() - probs / probs.sum()).max() <= 1e-12

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import avcp.cli
 from avcp import demos as demo_mod
 from avcp import evolution
 from avcp import expressions as ex
@@ -616,6 +617,22 @@ def test_experiment_trials_and_seed_options_win_over_the_spec(tmp_path, capsys, 
     ids=["fractional_trials_bool_seed", "string_trials_object_seed", "bool_seed"],
 )
 def test_experiment_options_do_not_hide_bad_spec_values(tmp_path, capsys, flags, fields, message):
+    assert _experiment_run(tmp_path, capsys, *flags, **fields) == (1, "", f"error: ValueError: {message}\n")
+
+
+@pytest.mark.parametrize("flags", [(), ("--trials", "5", "--seed", "3")], ids=["spec", "options"])
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n_trials": 0}, "n_trials must be at least 1, got 0"),
+        ({"n_trials": -1}, "n_trials must be at least 1, got -1"),
+        ({"seed": -1}, "seed must be at least 0, got -1"),
+        ({"n_trials": 0, "seed": -1}, "n_trials must be at least 1, got 0"),
+    ],
+    ids=["zero_trials", "negative_trials", "negative_seed", "both"],
+)
+def test_out_of_range_spec_counts_exit_one_before_any_trial(tmp_path, capsys, monkeypatch, flags, fields, message):
+    monkeypatch.setattr(avcp.cli, "run_trials", lambda *a: pytest.fail("run_trials reached"))
     assert _experiment_run(tmp_path, capsys, *flags, **fields) == (1, "", f"error: ValueError: {message}\n")
 
 

@@ -707,7 +707,7 @@ def test_a_pruned_branch_is_never_drawn():
     assert drawn.tolist() == [1.0]
     # unpruned, the 1e-31 branch would take this draw
     raw, _ = operators.born_split(op.spectrum, state.amplitudes[None, :])
-    assert operators.inverse_cdf(raw, 0, u).tolist() == [0]
+    assert operators.draw_flat(operators.cdf_table(raw), 0, u).tolist() == [0]
 
 
 def test_run_trials_keeps_the_trial_arrays_outside_equality_and_the_dict():

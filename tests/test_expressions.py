@@ -89,6 +89,9 @@ def test_parse_error_carries_offset():
     with pytest.raises(ExpressionSyntaxError) as err:
         parse("A $ B")
     assert err.value.offset == 2
+    with pytest.raises(ExpressionSyntaxError, match="unexpected 'B'") as err:
+        parse("A B")
+    assert err.value.offset == 2
 
 
 @pytest.mark.parametrize("text, offset", [("2*1e999", 2), ("1e999*A", 0), ("A^1e999", 2), ("A + 9e400", 4)])
@@ -113,6 +116,11 @@ def test_parse_exponent_must_be_integer():
         parse("A^1.5")
     with pytest.raises(ExpressionSyntaxError):
         parse("A^B")
+
+
+def test_a_negative_power_node_is_rejected():
+    with pytest.raises(ValueError, match="exponent must be non-negative"):
+        Pow(Var("A"), -1)
 
 
 def test_parse_unbalanced_paren():
@@ -261,6 +269,19 @@ def test_sum_is_always_simple():
 def test_unbound_variable():
     with pytest.raises(UnboundVariable):
         classify_simple(parse("A*Q"), _pauli_bindings())
+    with pytest.raises(UnboundVariable, match="no value for variable 'B'"):
+        evaluate(parse("A + B"), {"A": 1.0})
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [variables, to_string, expand_polynomial, lambda e: evaluate(e, {}),
+     lambda e: quantize_hermitized(e, _pauli_bindings())],
+    ids=["variables", "to_string", "expand_polynomial", "evaluate", "quantize_hermitized"],
+)
+def test_a_string_is_not_an_expression_node(walk):
+    with pytest.raises(TypeError, match="not an expression node: 'A'"):
+        walk("A")
 
 
 # --- quantization -------------------------------------------------------------------

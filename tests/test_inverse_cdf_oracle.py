@@ -1,14 +1,14 @@
-"""Comparison-table reference for the indexed-search `inverse_cdf`.
+"""Comparison-table reference for the indexed search of `cdf_table` + `draw_flat`.
 
 `_reference_inverse_cdf` is the sampler's earlier inverse CDF, kept verbatim:
 it compares every draw with every normalised cumulative sum of its row, an
 n x (G - 1) table.  The library finds the same count by indexed search (a
 guide row of k >= 8G cells per weight row, k a power of two), so these tests
-require `==` indices on hypothesis-drawn weights and draws, including the
-draws where an off-by-one would show: u = 0, the largest draw 1 - 2**-53,
-draws equal to a cumulative sum or next to one, and draws on the guide's
-cell edges b/k.  They also pin the domain checks and the memory bound at
-n = 1e5 and G = 256.
+require `==` indices, `draw_flat`'s flat index less G times the row, on
+hypothesis-drawn weights and draws, including the draws where an off-by-one
+would show: u = 0, the largest draw 1 - 2**-53, draws equal to a cumulative
+sum or next to one, and draws on the guide's cell edges b/k.  They also pin
+`cdf_table`'s weight-row check and the memory bound at n = 1e5 and G = 256.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from avcp.operators import GUIDE_CELLS_PER_GROUP, cdf_table, inverse_cdf
+from avcp.operators import GUIDE_CELLS_PER_GROUP, cdf_table, draw_flat
 
 _TOP_DRAW = 1.0 - 2.0**-53
 
@@ -29,6 +29,11 @@ def _reference_inverse_cdf(weights: np.ndarray, rows, u: np.ndarray) -> np.ndarr
     cum = np.cumsum(weights, axis=1)
     cum = cum / cum[:, -1:]
     return (cum[rows, :-1] <= u[:, None]).sum(axis=1)
+
+
+def _groups(weights: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
+    """The groups the library's one draw path picks: `draw_flat`'s flat (row, group) indices less G * rows."""
+    return draw_flat(cdf_table(weights), rows, u) - weights.shape[1] * np.asarray(rows)
 
 
 @st.composite
@@ -78,17 +83,9 @@ def test_indexed_search_matches_the_comparison_table(case):
     u = _draws(weights, rng)
     per_trial = rng.integers(0, len(weights), size=u.size)
     for rows in [*range(len(weights)), per_trial]:
-        got, want = inverse_cdf(weights, rows, u), _reference_inverse_cdf(weights, rows, u)
+        got, want = _groups(weights, rows, u), _reference_inverse_cdf(weights, rows, u)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("bad", [1.0, -1e-300, float("nan"), 2.0, float("inf")])
-def test_a_draw_outside_the_unit_interval_is_rejected_by_value(bad):
-    weights = np.array([[0.1, 0.2, 0.3, 0.0]])
-    u = np.array([0.5, bad, 0.25])
-    with pytest.raises(ValueError, match=repr(bad)):
-        inverse_cdf(weights, 0, u)
 
 
 @pytest.mark.parametrize(
@@ -101,16 +98,16 @@ def test_a_draw_outside_the_unit_interval_is_rejected_by_value(bad):
     ],
 )
 def test_a_weight_row_with_a_negative_weight_or_no_finite_positive_sum_is_rejected(row, sum_):
-    # row 0 is fine and is the only row drawn from; the bad row 1 still fails, since it would corrupt the guide
+    # row 0 is fine; the bad row 1 fails the whole table, since it would corrupt the guide
     weights = np.array([[0.5, 0.5, 0.0], row])
     with pytest.raises(ValueError, match=rf"weight row 1 has a negative weight or no finite positive sum \({sum_}\)"):
-        inverse_cdf(weights, 0, np.array([0.7]))
+        cdf_table(weights)
 
 
 def test_negative_zero_is_a_valid_draw():
     weights = np.array([[0.1, 0.2, 0.3, 0.0], [0.0, 0.0, 1.0, 0.0]])
-    assert inverse_cdf(weights, 0, np.array([-0.0])).tolist() == [0]
-    assert inverse_cdf(weights, np.array([1]), np.array([-0.0])).tolist() == [2]
+    assert _groups(weights, 0, np.array([-0.0])).tolist() == [0]
+    assert _groups(weights, np.array([1]), np.array([-0.0])).tolist() == [2]
 
 
 def test_per_trial_rows_stay_in_bounded_memory():
@@ -122,7 +119,7 @@ def test_per_trial_rows_stay_in_bounded_memory():
     u = rng.random(n)
     tracemalloc.start()
     try:
-        idx = inverse_cdf(weights, rows, u)
+        idx = _groups(weights, rows, u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -18,18 +18,19 @@ from avcp.operators import (
     HermitianOperator,
     QuantumState,
     apply_spectral_function,
+    born_split,
+    cdf_table,
     commutator,
+    draw_flat,
     embed_operator,
     expectation,
     hermitian_from_matrix,
-    inverse_cdf,
     make_rng,
     matrix_to_dict,
     max_norm,
     measure_projective,
     operator_from_dict,
     operator_to_dict,
-    outcome_probabilities,
     random_hermitian,
     random_state,
     state_from_dict,
@@ -41,6 +42,12 @@ from avcp.verify import run_suite
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def _born_probabilities(v: QuantumState, h: HermitianOperator) -> np.ndarray:
+    """`born_split`'s weights of the one state v over h's outcome groups, normalised."""
+    weights = born_split(h.spectrum, v.amplitudes[None, :])[0][0]
+    return weights / weights.sum()
 
 
 # --- independent eigenvalue oracle: characteristic polynomial + Durand-Kerner
@@ -298,7 +305,7 @@ def test_global_phase_invariance():
     v = random_state(4, make_rng(9))
     w = QuantumState(v.amplitudes * np.exp(1j * 1.234))
     assert abs(expectation(h, v) - expectation(h, w)) <= 1e-12
-    assert np.abs(outcome_probabilities(v, h) - outcome_probabilities(w, h)).max() <= 1e-12
+    assert np.abs(_born_probabilities(v, h) - _born_probabilities(w, h)).max() <= 1e-12
 
 
 # --- tensor and embedding ---------------------------------------------------------
@@ -320,6 +327,30 @@ def test_disjoint_factors_commute_exactly():
     left = tensor(random_hermitian(2, rng), hermitian_from_matrix(np.eye(3)))
     right = tensor(hermitian_from_matrix(np.eye(2)), random_hermitian(3, rng))
     assert max_norm(commutator(left, right)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: commutator(np.array([[np.nan, 0], [0, 1]]), np.eye(2)), NonFinite, "matrix contains non-finite"),
+        (lambda: QuantumState([]), DimMismatch, "state vector must be non-empty"),
+        (lambda: QuantumState([np.nan, 1.0]), NonFinite, "state vector contains non-finite"),
+        (lambda: QuantumState.normalized([0.0, 0.0]), StateNotNormalized, "cannot normalize the zero vector"),
+        (lambda: apply_spectral_function(hermitian_from_matrix(SZ), lambda x: math.inf), DomainError,
+         "non-finite value on the spectrum"),
+        (lambda: tensor(hermitian_from_matrix(SZ), QuantumState([1, 0])), TypeError,
+         "two HermitianOperators or two QuantumStates"),
+        (lambda: embed_operator(hermitian_from_matrix(SZ), (2, 2), 2), DimMismatch,
+         r"subsystem 2 outside factors \(2, 2\)"),
+        (lambda: born_split(hermitian_from_matrix(SZ).spectrum, np.ones((1, 3))), DimMismatch,
+         "operator dim 2 vs state dim 3"),
+    ],
+    ids=["nan_commutator", "empty_state", "nan_state", "normalize_zeros", "inf_spectral_value", "operator_times_state",
+         "subsystem_out_of_range", "born_split_dim"],
+)
+def test_public_error_paths_raise_their_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_embed_operator_matches_kron():
@@ -367,7 +398,7 @@ def test_born_rule_frequencies():
 def test_born_rule_all_groups_within_band():
     h = random_hermitian(4, make_rng(5))
     v = random_state(4, make_rng(6))
-    probs = outcome_probabilities(v, h)
+    probs = _born_probabilities(v, h)
     rng = make_rng(7)
     n = 20_000
     counts = np.zeros(len(probs))
@@ -389,7 +420,7 @@ def test_degenerate_measurement_collapse():
     h = hermitian_from_matrix(np.diag([5.0, 5.0, 2.0]))
     a, b, c = 0.6, 0.48, 0.64  # |a|^2+|b|^2+|c|^2 = 1
     v = QuantumState([a, b, c])
-    probs = outcome_probabilities(v, h)
+    probs = _born_probabilities(v, h)
     # spectrum order is ascending: group 0 is the eigenvalue-2 outcome
     assert probs[1] == pytest.approx(a * a + b * b, abs=1e-12)
     out = measure_projective(v, h, _FixedRng(0.99))
@@ -403,9 +434,9 @@ def test_degenerate_measurement_collapse():
 _TOP_DRAW = 1.0 - 2.0**-53
 
 
-def test_inverse_cdf_never_picks_a_zero_weight_group():
+def test_draw_flat_never_picks_a_zero_weight_group():
     weights = np.array([[0.1, 0.2, 0.3, 0.0]])
-    assert inverse_cdf(weights, 0, np.array([_TOP_DRAW])).tolist() == [2]
+    assert draw_flat(cdf_table(weights), 0, np.array([_TOP_DRAW])).tolist() == [2]
 
 
 def test_top_draw_never_collapses_onto_a_zero_probability_outcome():

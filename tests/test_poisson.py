@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from avcp import expressions
+from avcp.cli import main
 from avcp.errors import DimTooSmall, NonSimpleInput, UnboundVariable, UnsupportedExpression
 from avcp.kinematics import build_fock
 from avcp.operators import make_rng
@@ -306,6 +307,29 @@ def test_counterexample_linear_in_gamma():
     c1 = counterexample_report(1.0, rep)
     c2 = counterexample_report(2.0, rep)
     assert c2.scalar == pytest.approx(2 * c1.scalar, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CanonicalPolynomial.coordinate("q"), "no coordinate q0 with 1 pair"),
+        (lambda: parse_canonical("x") ** -1, "negative power"),
+        (lambda: parse_canonical("x") + parse_canonical("x1", n_pairs=2), "different numbers of canonical pairs"),
+        (lambda: poisson_bracket(parse_canonical("x"), parse_canonical("x1", n_pairs=2)),
+         "different numbers of canonical pairs"),
+        (lambda: check_dirac_rule(parse_canonical("x1", n_pairs=2), parse_canonical("p1", n_pairs=2), build_fock(8)),
+         "a single canonical pair"),
+    ],
+    ids=["coordinate_q", "negative_power", "add_across_pairs", "bracket_across_pairs", "dirac_rule_two_pairs"],
+)
+def test_polynomial_errors_name_the_misuse(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_dirac_rule_without_a_safe_sub_block_exits_one(capsys):
+    assert main(["poisson", "check", "--f", "x^3", "--h", "x^2", "--levels", "4"]) == 1
+    assert capsys.readouterr().err == "error: DimTooSmall: degree 5 leaves no safe sub-block at n=4\n"
 
 
 def test_counterexample_needs_enough_levels():

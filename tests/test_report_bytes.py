@@ -114,6 +114,12 @@ CORPUS = (
     "experiment number_binding_factor_dims.json",
     "experiment short_re.json",
     "experiment long_im.json",
+    "experiment zero_n_trials.json",
+    "experiment zero_n_trials.json --trials 5",
+    "experiment negative_n_trials.json",
+    "experiment negative_n_trials.json --trials 5",
+    "experiment negative_seed.json",
+    "experiment negative_seed.json --seed 3",
 )
 
 
@@ -227,6 +233,9 @@ def _write_inputs(folder: Path) -> None:
     long_im = spec(3, small, "A + B", 100)
     long_im["bindings"]["B"]["im"] += [0.0]
     write("long_im.json", long_im)
+    write("zero_n_trials.json", spec(3, small, "A + B", 0))
+    write("negative_n_trials.json", spec(3, small, "A + B", -1))
+    write("negative_seed.json", {**spec(3, small, "A + B", 100), "seed": -1})
 
 
 def _run(line: str) -> tuple[int, str, str]:

@@ -2,7 +2,7 @@
 
 `_reference_born_z` replays the suite's draws up to the check and then runs the
 loop the suite used before it drew all samples in one `born_split` and
-`inverse_cdf` pass: one `measure_projective` call per draw.  The batched check
+`draw_flat` pass: one `measure_projective` call per draw.  The batched check
 must give the same z bit for bit and leave the generator where the loop left it.
 """
 
@@ -49,16 +49,16 @@ def _born_check(report: dict) -> dict:
 @pytest.mark.parametrize("seed", [*range(12), 17, 23])
 def test_batched_born_check_is_the_per_draw_loop_bit_for_bit(seed, monkeypatch):
     rngs, after = [], []
-    real = avcp.verify.inverse_cdf
+    real = avcp.verify.draw_flat
 
-    def recording(weights, rows, u):
+    def recording(table, rows, u):
         # the suite's uniforms are drawn before this call: the stream now stands where the
         # later checks pick it up
         after.append(rngs[0].bit_generator.state)
-        return real(weights, rows, u)
+        return real(table, rows, u)
 
     monkeypatch.setattr(avcp.verify, "make_rng", lambda s: rngs.append(make_rng(s)) or rngs[-1])
-    monkeypatch.setattr(avcp.verify, "inverse_cdf", recording)
+    monkeypatch.setattr(avcp.verify, "draw_flat", recording)
     z = _born_check(run_suite("operators", seed=seed))["value"]
 
     z_ref, next_ref = _reference_born_z(seed)
@@ -69,8 +69,8 @@ def test_batched_born_check_is_the_per_draw_loop_bit_for_bit(seed, monkeypatch):
 
 
 def _shift_up(real):
-    def shifted(weights, rows, u):
-        return np.minimum(real(weights, rows, u) + 1, weights.shape[1] - 1)
+    def shifted(table, rows, u):  # one group up; the suite's table has one row, so the last group is len(sums) - 1
+        return np.minimum(real(table, rows, u) + 1, len(table.sums) - 1)
 
     return shifted
 
@@ -83,7 +83,7 @@ def _reverse_weights(real):
     return reversed_
 
 
-@pytest.mark.parametrize("name, mutate", [("inverse_cdf", _shift_up), ("born_split", _reverse_weights)])
+@pytest.mark.parametrize("name, mutate", [("draw_flat", _shift_up), ("born_split", _reverse_weights)])
 def test_born_check_fails_on_a_broken_sampler(name, mutate, monkeypatch):
     assert _born_check(run_suite("operators", seed=7))["passed"]
     monkeypatch.setattr(avcp.verify, name, mutate(getattr(avcp.verify, name)))
@@ -91,7 +91,7 @@ def test_born_check_fails_on_a_broken_sampler(name, mutate, monkeypatch):
 
 
 def test_born_check_draws_every_sample_in_one_kernel_pass(monkeypatch):
-    calls = {"born_split": 0, "inverse_cdf": 0}
+    calls = {"born_split": 0, "draw_flat": 0}
 
     def counted(name):
         real = getattr(avcp.verify, name)
@@ -105,4 +105,4 @@ def test_born_check_draws_every_sample_in_one_kernel_pass(monkeypatch):
     for name in calls:
         monkeypatch.setattr(avcp.verify, name, counted(name))
     run_suite("operators")
-    assert calls == {"born_split": 1, "inverse_cdf": 1}
+    assert calls == {"born_split": 1, "draw_flat": 1}
