@@ -49,11 +49,11 @@ def _alpha(args) -> float:
     return args.alpha if args.alpha is not None else float(os.environ.get("AVCP_ALPHA", "1.0"))
 
 
-def _emit(payload, fmt: str, out: str | None, text_renderer=None) -> None:
+def _emit(payload, fmt: str, out: str | None, text=None) -> None:
     if fmt == "json":
         body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
-        body = (text_renderer(payload) if text_renderer else str(payload)) + "\n"
+        body = (text() if text else str(payload)) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(body)
@@ -129,77 +129,73 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.run(args)
-    except NonSimpleExpression as exc:
-        return _non_simple(args, exc, "expression", "offending_pairs", [list(p) for p in exc.offending_pairs])
-    except NonSimpleInput as exc:
-        failures = {k: [list(p) for p in v] for k, v in exc.failures.items()}
-        return _non_simple(args, exc, "input", "failures", failures)
+        try:  # each subcommand returns (payload, text renderer or None, exit code) and writes nothing
+            payload, text, code = args.run(args)
+        except NonSimpleExpression as exc:
+            pairs = [list(p) for p in exc.offending_pairs]
+            payload, text, code = _non_simple(exc, "expression", "offending_pairs", pairs)
+        except NonSimpleInput as exc:
+            failures = {k: [list(p) for p in v] for k, v in exc.failures.items()}
+            payload, text, code = _non_simple(exc, "input", "failures", failures)
+        _emit(payload, args.format, args.out, text)
+        return code
     except (AvcpError, OSError, KeyError, ValueError, TypeError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
 
 
-def _non_simple(args, exc: AvcpError, what: str, key: str, value) -> int:
-    """Report a non-simple expression or bracket-rule input on stdout; exit code 2."""
-    payload = {"error": type(exc).__name__, key: value}
-    _emit(payload, args.format, args.out, lambda d: f"non-simple {what}; {key.replace('_', ' ')}: {value}")
-    return 2
+def _non_simple(exc: AvcpError, what: str, key: str, value):
+    """A non-simple expression or bracket-rule input, reported on stdout with exit code 2."""
+    return {"error": type(exc).__name__, key: value}, lambda: f"non-simple {what}; {key.replace('_', ' ')}: {value}", 2
 
 
-def _quantize(args) -> int:
+def _quantize(args):
     bindings = BindingSet.from_dict(_load_json(args.bindings))
     op = ex.quantize(ex.parse(args.expression), bindings)
-    _emit(operator_to_dict(op), args.format, args.out, text_renderer=lambda d: _operator_text(op.matrix))
-    return 0
+    return operator_to_dict(op), lambda: _operator_text(op.matrix), 0  # lazy: d = 256 is 65,536 entries
 
 
-def _experiment(args) -> int:
+def _experiment(args):
     raw = _load_json(args.spec)
     alpha = _alpha(args) if isinstance(raw, dict) and raw.get("evolution") else 1.0  # only a window reads alpha
     spec = ExperimentSpec.from_dict(raw, alpha)
     n = whole_number(raw.get("n_trials", _OPTIONS["trials"]["default"]), "n_trials")  # checked though a flag wins
     seed = whole_number(raw.get("seed", _OPTIONS["seed"]["default"]), "seed")
-    for name, value, least in (("n_trials", n, 1), ("seed", seed, 0)):
-        if value < least:
+    bounds = (("n_trials", n, 1), ("seed", seed, 0), ("--trials", args.trials, 1), ("--seed", args.seed, 0))
+    for name, value, least in bounds:
+        if value is not None and value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
     report = run_trials(spec, n if args.trials is None else args.trials, seed if args.seed is None else args.seed)
-    _emit(report.to_dict(), args.format, args.out, text_renderer=lambda d: report.to_text())
-    return 0
+    return report.to_dict(), report.to_text, 0
 
 
-def _verify(args) -> int:
+def _verify(args):
     """`avcp verify`, and `avcp kinematics|angular verify` as its aliases."""
     extra = _load_json(args.bindings) if args.bindings else None
     report = verify_mod.run_suite(args.suite, seed=args.seed, alpha=_alpha(args), levels=args.levels,
                                   dims=_parse_dims(args.dims), extra_bindings=extra)
-    _emit(report, args.format, args.out, text_renderer=verify_mod.render_text)
-    return 0 if report["passed"] else 3
+    return report, lambda: verify_mod.render_text(report), 0 if report["passed"] else 3
 
 
-def _demo(args) -> int:
+def _demo(args):
     payload, text = demo_mod.run_demo(args.name, seed=args.seed, trials=args.trials, alpha=_alpha(args))
-    _emit(payload, args.format, args.out, text_renderer=lambda d: text)
-    return 0
+    return payload, lambda: text, 0
 
 
-def _evolve(args) -> int:
+def _evolve(args):
     state = state_from_dict(_load_json(args.state))
     sched = HamiltonianSchedule.from_dict(_load_json(args.schedule), _alpha(args))
-    final = evolve(state, sched, args.steps)
-    _emit(state_to_dict(final), args.format, args.out)
-    return 0
+    return state_to_dict(evolve(state, sched, args.steps)), None, 0
 
 
-def _poisson(args) -> int:
+def _poisson(args):
     rep = build_fock(args.levels, _alpha(args))
     if args.action == "counterexample":
-        _emit(counterexample_report(args.gamma, rep).to_dict(), args.format, args.out)
-        return 0
+        return counterexample_report(args.gamma, rep).to_dict(), None, 0
     r = check_dirac_rule(parse_canonical(args.f), parse_canonical(args.h), rep)
     payload = {k: getattr(r, k) for k in ("residual", "scale", "tolerance", "safe_dim", "passed")}
-    _emit({"f": args.f, "h": args.h, "bracket": ex.to_string(r.bracket.to_expr()), **payload}, args.format, args.out)
-    return 0 if r.passed else 3
+    payload = {"f": args.f, "h": args.h, "bracket": ex.to_string(r.bracket.to_expr()), **payload}
+    return payload, None, 0 if r.passed else 3
 
 
 def _operator_text(m) -> str:

@@ -30,7 +30,7 @@ from .operators import (
     SPECTRUM_TOL,
     HermitianOperator,
     QuantumState,
-    as_complex_matrix,
+    _square_matrix,
     commutator,
     eigh_stack,
     expectation,
@@ -272,7 +272,7 @@ def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumSt
         mats = [h.matrix if isinstance(h, HermitianOperator) else h for h in map(sched.fn, mids)]
         for m in mats:  # the first slice at fault is the one named
             if np.shape(m) != (v.dim, v.dim):
-                raise DimMismatch(f"schedule dim {as_complex_matrix(m).shape[0]} vs state dim {v.dim}")
+                raise DimMismatch(f"schedule dim {_square_matrix(m).shape[0]} vs state dim {v.dim}")  # size before nan
         mats = np.array(mats, dtype=complex)  # rebinding drops fn's results before the next block is sampled
         hermitian_gate(mats)
         values, vectors, _, _ = eigh_stack(mats)

@@ -143,7 +143,9 @@ class ExperimentSpec:
         self.evolution = evolution
         if initial_state.dim != bindings.dim:
             raise DimMismatch(f"state dim {initial_state.dim} does not match bindings dim {bindings.dim}")
-        for name in self.implementation:
+        for i, name in enumerate(self.implementation):
+            if name in self.implementation[:i]:  # one name is one copy's outcome: a second draw would overwrite it
+                raise ValueError(f"implementation names {name!r} more than once; bind its operator to a second name")
             bindings.binding(name)
         if target is not None:
             bindings.binding(target)

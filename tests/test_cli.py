@@ -636,6 +636,27 @@ def test_out_of_range_spec_counts_exit_one_before_any_trial(tmp_path, capsys, mo
     assert _experiment_run(tmp_path, capsys, *flags, **fields) == (1, "", f"error: ValueError: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--trials", "0"), "--trials must be at least 1, got 0"),
+        (("--trials", "-3"), "--trials must be at least 1, got -3"),
+        (("--seed", "-1"), "--seed must be at least 0, got -1"),
+        (("--trials", "0", "--seed", "-1"), "--trials must be at least 1, got 0"),
+    ],
+    ids=["zero_trials", "negative_trials", "negative_seed", "both"],
+)
+def test_out_of_range_trials_and_seed_options_exit_one_naming_the_flag(tmp_path, capsys, monkeypatch, flags, message):
+    monkeypatch.setattr(avcp.cli, "run_trials", lambda *a: pytest.fail("run_trials reached"))
+    assert _experiment_run(tmp_path, capsys, *flags) == (1, "", f"error: ValueError: {message}\n")
+
+
+@pytest.mark.parametrize("groups", [None, [["A"], ["A"]]], ids=["planned", "groups"])
+def test_experiment_naming_one_measurement_twice_exits_one_naming_it(tmp_path, capsys, groups):
+    got = _experiment_run(tmp_path, capsys, implementation=["A", "A"], f="A*A", groups=groups)
+    message = "implementation names 'A' more than once; bind its operator to a second name"
+    assert got == (1, "", f"error: ValueError: {message}\n")
+
 def test_experiment_options_equal_to_the_spec_values_print_the_same_bytes(tmp_path, capsys):
     by_spec = _experiment_run(tmp_path, capsys, n_trials=300, seed=9)
     assert by_spec == _experiment_run(tmp_path, capsys, "--trials", "300", "--seed", "9", n_trials=7, seed=1)
@@ -927,6 +948,34 @@ def test_out_writes_the_bytes_stdout_would_get_and_prints_nothing(tmp_path, caps
     assert capsys.readouterr() == ("", "")
     assert path.read_text() == stdout
 
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["quantize", "A + B", "--bindings", "bindings.json"],
+        ["quantize", "A*B", "--bindings", "bindings.json"],
+        ["experiment", "spec.json", "--trials", "10"],
+        ["verify", "angular", "--dims", "2..3"],
+        ["demo", "hermitization"],
+        ["evolve", "--state", "state.json", "--schedule", "sched.json", "--steps", "4"],
+        ["poisson", "check", "--levels", "32"],
+        ["poisson", "check", "--f", "x^3", "--h", "p^3", "--levels", "32"],
+        ["poisson", "counterexample", "--levels", "32"],
+    ],
+    ids=["quantize", "quantize_non_simple", "experiment", "verify", "demo", "evolve", "poisson_check",
+         "poisson_check_non_simple", "poisson_counterexample"],
+)
+def test_an_unwritable_out_is_one_error_line_on_every_subcommand(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    state = {"dim": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]}
+    Path("bindings.json").write_text(json.dumps({"A": matrix_to_dict(SX), "B": matrix_to_dict(SY)}))
+    Path("spec.json").write_text(json.dumps({"state": state, "bindings": {"A": matrix_to_dict(SX)},
+                                             "implementation": ["A"], "f": "A"}))
+    Path("state.json").write_text(json.dumps(state))
+    Path("sched.json").write_text(json.dumps([{"t0": 0.0, "t1": 1.0, "operator": matrix_to_dict(SX)}]))
+    out = str(tmp_path / "missing" / "report.json")
+    assert main([*args, "--out", out]) == 1
+    assert capsys.readouterr() == ("", f"error: FileNotFoundError: [Errno 2] No such file or directory: {out!r}\n")
 
 def test_a_descending_dimension_range_is_an_error_line(capsys):
     assert main(["verify", "angular", "--dims", "5..3"]) == 1

@@ -821,6 +821,14 @@ def test_callable_that_changes_dim_in_a_later_block_fails(switch):
         evolve(random_state(3, rng), sched, 600)
 
 
+def test_a_wrong_size_slice_holding_a_nan_reports_its_size_not_the_nan():
+    h = random_hermitian(4, make_rng(4)).matrix.copy()
+    h[1, 2] = np.nan
+    sched = HamiltonianSchedule.from_function(lambda t: h, 0.0, 1.0)
+    with pytest.raises(DimMismatch, match="^schedule dim 4 vs state dim 3$"):
+        evolve(random_state(3, make_rng(4)), sched, 8)
+
+
 def _second_block_fault(fault):
     """A d = 3 linear drive over 600 slices (blocks of 256) whose slice 300, inside the second block,
     is `fault(matrix)`; returns the schedule and that slice's raw matrix."""

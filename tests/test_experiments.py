@@ -152,6 +152,17 @@ def test_two_copy_square_gives_squared_mean():
     assert enumerate_expectation(spec) == pytest.approx(expectation(op, state) ** 2, abs=1e-12)
 
 
+@pytest.mark.parametrize("groups", [None, [["A"], ["A"]]], ids=["planned", "groups"])
+def test_an_implementation_naming_one_measurement_twice_is_rejected_before_any_eigendecomposition(
+        monkeypatch, groups):
+    # a second draw under one name would overwrite the first: E[A^2], not the two-copy E[A]^2
+    op, state = random_hermitian(3, make_rng(3)), random_state(3, make_rng(4))
+    calls = _counted_eigh_stack(monkeypatch)
+    with pytest.raises(ValueError, match=r"^implementation names 'A' more than once; "):
+        ExperimentSpec(state, BindingSet({"A": op}), ["A", "A"], "A*A", groups=groups)
+    assert calls == []
+
+
 def test_enumeration_budget_guard():
     ops = random_commuting_family(6, 8, make_rng(9))
     bind = BindingSet({f"M{i}": op for i, op in enumerate(ops)})

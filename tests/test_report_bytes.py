@@ -120,6 +120,10 @@ CORPUS = (
     "experiment negative_n_trials.json --trials 5",
     "experiment negative_seed.json",
     "experiment negative_seed.json --seed 3",
+    "experiment repeated_name.json",
+    "experiment repeated_name_groups.json",
+    "experiment split_d6.json --trials 0",
+    "experiment split_d6.json --seed -1",
 )
 
 
@@ -236,6 +240,9 @@ def _write_inputs(folder: Path) -> None:
     write("zero_n_trials.json", spec(3, small, "A + B", 0))
     write("negative_n_trials.json", spec(3, small, "A + B", -1))
     write("negative_seed.json", {**spec(3, small, "A + B", 100), "seed": -1})
+    repeated = {**spec(3, small, "A*A", 100), "implementation": ["A", "A"]}
+    write("repeated_name.json", repeated)
+    write("repeated_name_groups.json", {**repeated, "groups": [["A"], ["A"]]})
 
 
 def _run(line: str) -> tuple[int, str, str]:
