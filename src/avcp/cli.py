@@ -129,6 +129,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return 0 if exc.code in (0, None) else 1
     try:
+        for flag, least in (("trials", 1), ("seed", 0), ("steps", 1)):  # each count flag the subcommand has
+            if getattr(args, flag, None) is not None:  # None: experiment's unset --trials and --seed
+                whole_number(getattr(args, flag), f"--{flag}", least)
         try:  # each subcommand returns (payload, text renderer or None, exit code) and writes nothing
             payload, text, code = args.run(args)
         except NonSimpleExpression as exc:
@@ -159,12 +162,8 @@ def _experiment(args):
     raw = _load_json(args.spec)
     alpha = _alpha(args) if isinstance(raw, dict) and raw.get("evolution") else 1.0  # only a window reads alpha
     spec = ExperimentSpec.from_dict(raw, alpha)
-    n = whole_number(raw.get("n_trials", _OPTIONS["trials"]["default"]), "n_trials")  # checked though a flag wins
-    seed = whole_number(raw.get("seed", _OPTIONS["seed"]["default"]), "seed")
-    bounds = (("n_trials", n, 1), ("seed", seed, 0), ("--trials", args.trials, 1), ("--seed", args.seed, 0))
-    for name, value, least in bounds:
-        if value is not None and value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value}")
+    n = whole_number(raw.get("n_trials", _OPTIONS["trials"]["default"]), "n_trials", 1)  # checked though a flag wins
+    seed = whole_number(raw.get("seed", _OPTIONS["seed"]["default"]), "seed", 0)
     report = run_trials(spec, n if args.trials is None else args.trials, seed if args.seed is None else args.seed)
     return report.to_dict(), report.to_text, 0
 

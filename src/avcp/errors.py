@@ -25,7 +25,7 @@ class DimMismatch(AvcpError):
 
 
 class ConvergenceFailure(AvcpError):
-    """The eigensolver did not converge or produced an invalid decomposition."""
+    """The eigensolver did not converge or produced an invalid decomposition, or evolution drifted from unit norm."""
 
 
 class DomainError(AvcpError):

@@ -91,6 +91,9 @@ class HamiltonianSchedule:
     fn: Callable[[float], HermitianOperator | np.ndarray] | None = None
 
     def __post_init__(self):
+        if (self.pieces is None) == (self.fn is None):
+            got = "neither" if self.fn is None else "both"
+            raise ValueError(f"a schedule takes exactly one of pieces and fn, got {got}")
         if not (np.isfinite([self.t_start, self.t_end]).all() and 0 <= self.t_end - self.t_start < np.inf):
             raise ScheduleGap(f"schedule span [{self.t_start}, {self.t_end}] must be finite and not reversed")
         require_alpha(self.alpha)
@@ -248,9 +251,7 @@ def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumSt
     KRYLOV_MIN_DIM and no other run in this call, else, or where Lanczos gives up, by `propagate`. A
     callable schedule is sampled and diagonalised in blocks, so its `fn` may run up to one block ahead
     of propagation. The state is renormalised after each propagation."""
-    steps = whole_number(steps, "steps")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = whole_number(steps, "steps", 1)
     span = sched.t_end - sched.t_start
     if span == 0:
         return QuantumState(v.amplitudes.copy(), v.factor_dims)
@@ -282,10 +283,10 @@ def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumSt
 
 
 def _renormalised(amps: np.ndarray) -> np.ndarray:
-    """`amps` divided by its norm, in place; a norm more than _NORM_DRIFT_TOL from 1 raises DimMismatch."""
+    """`amps` divided by its norm, in place; a norm more than _NORM_DRIFT_TOL from 1 raises ConvergenceFailure."""
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > _NORM_DRIFT_TOL:
-        raise DimMismatch(f"norm drifted by {abs(norm - 1.0):.3e} in one slice")
+        raise ConvergenceFailure(f"norm drifted by {abs(norm - 1.0):.3e} in one slice")
     amps /= norm
     return amps
 

@@ -85,8 +85,7 @@ class EvolutionWindow:
     steps: int = DEFAULT_STEPS
 
     def __post_init__(self):
-        if whole_number(self.steps, "steps") < 1:
-            raise ValueError("steps must be >= 1")
+        whole_number(self.steps, "steps", 1)
         for t in (self.t1, self.t2):  # a time outside the schedule fails here, before any evolution
             self.schedule.restrict(self.schedule.t_start, t)
 
@@ -397,8 +396,7 @@ def run_trials(spec: ExperimentSpec, n: int, seed: int) -> ExperimentReport:
     in order from the one stream: O(nodes*G + n) expected time per slot, and O(n) memory for the
     returned arrays plus O(TRIAL_BLOCK * slots) for a block and O(nodes*k) for the guides.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = whole_number(n, "n", 1)
     rng = make_rng(seed)  # a bad seed fails here, before any exact work
     target_op, exact = _exact(spec)
     _, _, target_levels = _outcome_tree([target_op.spectrum], spec.state_at_t2())

@@ -54,11 +54,13 @@ def real_number(value, name: str) -> float:
         raise ValueError(f"{name} is too large for a float, got an integer of {bits} bits") from None
 
 
-def whole_number(value, name: str) -> int:
-    """A count or seed as an int: 128 and 128.0 read as 128; 2.7, true, "128", Infinity and an integer beyond the
-    float range raise ValueError naming the field."""
+def whole_number(value, name: str, least: int | None = None) -> int:
+    """A count or seed as an int: 128 and 128.0 read as 128; 2.7, true, "128", Infinity, an integer beyond the
+    float range and a value below `least` (1 for a count, 0 for a seed) raise ValueError naming the field."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not real_number(value, name).is_integer():
         raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {int(value)}")
     return int(value)
 
 
@@ -95,8 +97,8 @@ def as_complex_matrix(m) -> np.ndarray:
 
 
 def make_rng(seed) -> np.random.Generator:
-    """Seeded random generator; the only RNG constructor used in this package."""
-    return np.random.default_rng(seed)
+    """Seeded random generator, its seed a whole number from 0; the only RNG constructor used in this package."""
+    return np.random.default_rng(whole_number(seed, "seed", 0))
 
 
 @dataclass(frozen=True)
@@ -518,9 +520,7 @@ def _array_from_dict(d: dict, ndim: int) -> np.ndarray:
     """The complex array of `d`: a state for ndim 1, a matrix for ndim 2; a missing "im" reads as zeros.
     A negative "dim", then a "re" or "im" that is not a flat list of real numbers (TypeError), holds an integer
     beyond the float range or has not dim (or dim^2) entries (ValueError), raises naming it."""
-    dim = whole_number(d["dim"], "dim")
-    if dim < 0:
-        raise ValueError(f"dim must not be negative, got {dim}")
+    dim = whole_number(d["dim"], "dim", 0)
     shape, size = (dim,) * ndim, dim**ndim
 
     def part(key):

@@ -442,7 +442,7 @@ def test_experiment_with_zero_steps_exits_one_with_the_steps_error(tmp_path, cap
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
-    assert captured.err == "error: ValueError: steps must be >= 1\n"
+    assert captured.err == "error: ValueError: steps must be at least 1, got 0\n"
 
 
 def _experiment_run(tmp_path, capsys, *flags, **fields):
@@ -577,7 +577,7 @@ def test_evolve_with_an_oversized_step_count_exits_one_naming_steps(tmp_path, ca
                "--steps", "1" + "0" * 400])
     captured = capsys.readouterr()
     assert (rc, captured.out) == (1, "")
-    assert captured.err == "error: ValueError: steps is too large for a float, got an integer of 1329 bits\n"
+    assert captured.err == "error: ValueError: --steps is too large for a float, got an integer of 1329 bits\n"
 
 
 def test_experiment_reads_whole_float_trials_and_seed_as_integers(tmp_path, capsys):
@@ -649,6 +649,37 @@ def test_out_of_range_spec_counts_exit_one_before_any_trial(tmp_path, capsys, mo
 def test_out_of_range_trials_and_seed_options_exit_one_naming_the_flag(tmp_path, capsys, monkeypatch, flags, message):
     monkeypatch.setattr(avcp.cli, "run_trials", lambda *a: pytest.fail("run_trials reached"))
     assert _experiment_run(tmp_path, capsys, *flags) == (1, "", f"error: ValueError: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("demo", "a-plus-b", "--trials", "0"), "--trials must be at least 1, got 0"),
+        (("demo", "a-plus-b", "--seed", "-1"), "--seed must be at least 0, got -1"),
+        (("demo", "hermitization", "--trials", "0"), "--trials must be at least 1, got 0"),
+        (("verify", "operators", "--seed", "-1"), "--seed must be at least 0, got -1"),
+        (("kinematics", "verify", "--seed", "-1"), "--seed must be at least 0, got -1"),
+        (("angular", "verify", "--seed", "-1"), "--seed must be at least 0, got -1"),
+        (("evolve", "--state", "state.json", "--schedule", "schedule.json", "--steps", "0"),
+         "--steps must be at least 1, got 0"),
+        (("experiment", "spec.json", "--trials", "0"), "--trials must be at least 1, got 0"),
+    ],
+    ids=["demo_trials", "demo_seed", "unread_demo_trials", "verify_seed", "kinematics_seed", "angular_seed",
+         "evolve_steps", "experiment_trials"],
+)
+def test_an_out_of_range_count_flag_exits_one_naming_it_before_any_work(args, message, tmp_path, monkeypatch, capsys):
+    for module, name in ((verify_mod, "run_suite"), (demo_mod, "run_demo"), (avcp.cli, "evolve"),
+                         (avcp.cli, "run_trials")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} reached"))
+    (tmp_path / "state.json").write_text(json.dumps({"dim": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]}))
+    (tmp_path / "schedule.json").write_text(json.dumps([{"t0": 0.0, "t1": 1.0, "operator": matrix_to_dict(SY)}]))
+    (tmp_path / "spec.json").write_text(json.dumps({"state": {"dim": 2, "re": [1.0, 0.0]},
+                                                    "bindings": {"A": matrix_to_dict(SX)}, "implementation": ["A"],
+                                                    "f": "A"}))
+    monkeypatch.chdir(tmp_path)
+    rc = main(list(args))
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (1, "", f"error: ValueError: {message}\n")
 
 
 @pytest.mark.parametrize("groups", [None, [["A"], ["A"]]], ids=["planned", "groups"])

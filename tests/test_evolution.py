@@ -470,6 +470,21 @@ def test_an_integer_beyond_the_float_range_is_a_value_error_naming_the_field(rea
         read(value, "steps")
 
 
+@pytest.mark.parametrize("value, least", [(0, 1), (-1, 0), (-3.0, 1), (np.int64(0), 1)], ids=repr)
+def test_whole_number_below_least_is_a_value_error_naming_the_field_and_the_bound(value, least):
+    with pytest.raises(ValueError, match=rf"^steps must be at least {least}, got {int(value)}$"):
+        whole_number(value, "steps", least)
+    assert whole_number(value, "steps") == value and whole_number(least, "steps", least) == least
+
+
+def test_make_rng_reads_its_seed_through_the_whole_number_rule():
+    with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1$"):
+        make_rng(-1)
+    with pytest.raises(ValueError, match=r"^seed must be a whole number, got True$"):
+        make_rng(True)
+    assert make_rng(7.0).random() == make_rng(7).random()
+
+
 def test_the_largest_integer_that_rounds_down_reads_as_the_largest_float():
     assert real_number(2**1024 - 2**970 - 1, "t1") == np.finfo(float).max
 
@@ -787,7 +802,7 @@ def test_evolve_raises_when_one_propagation_drifts_from_unit_norm(drift, raises,
     v = random_state(3, make_rng(9))
     monkeypatch.setattr(avcp.evolution, "propagate", lambda h, dt, amps, alpha: amps * (1 + drift))
     if raises:
-        with pytest.raises(DimMismatch, match=r"^norm drifted by 1\.000e-09 in one slice$"):
+        with pytest.raises(ConvergenceFailure, match=r"^norm drifted by 1\.000e-09 in one slice$"):
             evolve(v, sched, 4)
     else:  # within tolerance the state is renormalised
         assert np.abs(evolve(v, sched, 4).amplitudes - v.amplitudes).max() <= 1e-15
@@ -916,6 +931,17 @@ def test_piecewise_schedules_reject_a_non_finite_inner_endpoint():
         HamiltonianSchedule.piecewise([(0.0, math.nan, h), (math.nan, 1.0, h)])
     with pytest.raises(ScheduleGap, match="not contiguous"):
         HamiltonianSchedule.piecewise([(0.0, math.inf, h), (math.inf, 1.0, h)])
+
+
+def test_a_schedule_with_neither_pieces_nor_fn_is_rejected_when_built():
+    with pytest.raises(ValueError, match=r"^a schedule takes exactly one of pieces and fn, got neither$"):
+        HamiltonianSchedule(0.0, 1.0)
+
+
+def test_a_schedule_with_both_pieces_and_fn_is_rejected_when_built():
+    pieces = HamiltonianSchedule.constant(_SZ_OP, 0.0, 1.0).pieces
+    with pytest.raises(ValueError, match=r"^a schedule takes exactly one of pieces and fn, got both$"):
+        HamiltonianSchedule(0.0, 1.0, 1.0, pieces, lambda t: _SZ_OP)
 
 
 # --- conservation checks --------------------------------------------------------------

@@ -304,7 +304,7 @@ def _window_spec(**window):
 @pytest.mark.parametrize("steps", [0, -5])
 def test_window_steps_below_one_fail_before_any_eigendecomposition(monkeypatch, steps):
     calls = _counted_eigh_stack(monkeypatch)
-    with pytest.raises(ValueError, match=r"^steps must be >= 1$"):
+    with pytest.raises(ValueError, match=rf"^steps must be at least 1, got {steps}$"):
         check_avcp(ExperimentSpec.from_dict(_window_spec(steps=steps)))
     assert calls == []
 
@@ -312,14 +312,14 @@ def test_window_steps_below_one_fail_before_any_eigendecomposition(monkeypatch, 
 def test_a_negative_seed_fails_before_any_eigendecomposition(monkeypatch):
     calls = _counted_eigh_stack(monkeypatch)
     spec = ExperimentSpec.from_dict(_window_spec())
-    with pytest.raises(ValueError, match=r"^expected non-negative integer$"):
+    with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1$"):
         run_trials(spec, 10, -1)
     assert calls == []
 
 
 def test_window_at_the_schedule_start_still_rejects_zero_steps():
     sched = HamiltonianSchedule.constant(random_hermitian(3, make_rng(258)), 0.0, 1.0)
-    with pytest.raises(ValueError, match=r"^steps must be >= 1$"):
+    with pytest.raises(ValueError, match=r"^steps must be at least 1, got 0$"):
         EvolutionWindow(sched, 0.0, 0.0, steps=0)
 
 
@@ -662,7 +662,7 @@ def test_groups_override_that_leaves_out_a_name_is_rejected():
 def test_run_trials_needs_at_least_one_trial():
     sx, _, _ = _pauli()
     spec = ExperimentSpec(random_state(2, make_rng(32)), BindingSet({"A": sx}), ["A"], "A")
-    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+    with pytest.raises(ValueError, match=r"^n must be at least 1, got 0$"):
         run_trials(spec, 0, 1)
 
 

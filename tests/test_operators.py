@@ -500,8 +500,8 @@ def test_a_bad_re_is_reported_before_a_bad_im():
         (state_from_dict, {"dim": 2, "re": [1.0, 0.0], "im": [0.0]}, "im must have 2 entries for dim 2, got 1"),
         (operator_from_dict, {"dim": 2, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 5},
          "im must have 4 entries for dim 2, got 5"),
-        (state_from_dict, {"dim": -1, "re": [1.0]}, "dim must not be negative, got -1"),
-        (operator_from_dict, {"dim": -2, "re": [1.0, 0.0, 0.0, 1.0]}, "dim must not be negative, got -2"),
+        (state_from_dict, {"dim": -1, "re": [1.0]}, "dim must be at least 0, got -1"),
+        (operator_from_dict, {"dim": -2, "re": [1.0, 0.0, 0.0, 1.0]}, "dim must be at least 0, got -2"),
     ],
     ids=["short_state_re", "short_state_im", "long_operator_im", "negative_state_dim", "negative_operator_dim"],
 )

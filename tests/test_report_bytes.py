@@ -124,6 +124,10 @@ CORPUS = (
     "experiment repeated_name_groups.json",
     "experiment split_d6.json --trials 0",
     "experiment split_d6.json --seed -1",
+    "demo a-plus-b --trials 0",
+    "demo a-plus-b --seed -1",
+    "verify operators --seed -1",
+    "kinematics verify --seed -1",
 )
 
 
