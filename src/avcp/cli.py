@@ -129,7 +129,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return 0 if exc.code in (0, None) else 1
     try:
-        for flag, least in (("trials", 1), ("seed", 0), ("steps", 1)):  # each count flag the subcommand has
+        for flag, least in (("trials", 1), ("seed", 0), ("steps", 1), ("levels", 2)):  # each count flag it has
             if getattr(args, flag, None) is not None:  # None: experiment's unset --trials and --seed
                 whole_number(getattr(args, flag), f"--{flag}", least)
         try:  # each subcommand returns (payload, text renderer or None, exit code) and writes nothing

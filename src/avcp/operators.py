@@ -65,13 +65,13 @@ def whole_number(value, name: str, least: int | None = None) -> int:
 
 
 def read_factor_dims(values) -> tuple[int, ...]:
-    """Subsystem dimensions as a tuple of `whole_number`s; a value that is not a list (or other iterable)
-    raises TypeError naming the field."""
+    """Subsystem dimensions as a tuple of `whole_number`s of at least 1; a value that is not a list (or other
+    iterable) raises TypeError naming the field."""
     try:
         entries = iter(values)
     except TypeError:
         raise TypeError(f"factor_dims must be a list of whole numbers, got {values!r}") from None
-    return tuple(whole_number(d, "factor_dims") for d in entries)
+    return tuple(whole_number(d, "factor_dims", 1) for d in entries)
 
 
 def max_norm(m) -> float:
@@ -208,7 +208,7 @@ class QuantumState:
         if abs(norm - 1.0) > STATE_NORM_TOL:
             raise StateNotNormalized(f"norm deviates from 1 by {abs(norm - 1.0):.3e}")
         factor_dims = (arr.size,) if factor_dims is None else read_factor_dims(factor_dims)
-        if any(d <= 0 for d in factor_dims) or int(np.prod(factor_dims)) != arr.size:
+        if int(np.prod(factor_dims)) != arr.size:
             raise DimMismatch(
                 f"factor dims {factor_dims} do not multiply to dim {arr.size}"
             )

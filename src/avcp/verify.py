@@ -8,6 +8,9 @@ scalars so their JSON rendering is byte-stable for a given seed.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
 from typing import Iterator
 
 import numpy as np
@@ -357,15 +360,12 @@ def _suite_poisson(seed: int, alpha: float, levels: int, dims) -> Iterator[dict]
     exact_failures = 0
     for _ in range(40):
         f, g, h = _random_poly(rng), _random_poly(rng), _random_poly(rng)
-        if not (poisson_bracket(f, g) + poisson_bracket(g, f)).is_zero():
+        fg, gh = poisson_bracket(f, g), poisson_bracket(g, h)
+        if not (fg + poisson_bracket(g, f)).is_zero():
             exact_failures += 1
-        if not (poisson_bracket(f * g, h) - f * poisson_bracket(g, h) - poisson_bracket(f, h) * g).is_zero():
+        if not (poisson_bracket(f * g, h) - f * gh - poisson_bracket(f, h) * g).is_zero():
             exact_failures += 1
-        jac = (
-            poisson_bracket(f, poisson_bracket(g, h))
-            + poisson_bracket(g, poisson_bracket(h, f))
-            + poisson_bracket(h, poisson_bracket(f, g))
-        )
+        jac = poisson_bracket(f, gh) + poisson_bracket(g, poisson_bracket(h, f)) + poisson_bracket(h, fg)
         if not jac.is_zero():
             exact_failures += 1
     yield _check("bracket_axioms_exact_failures", exact_failures, 0.0)
@@ -407,6 +407,104 @@ _SUITES = {
     "poisson": _suite_poisson,
 }
 SUITE_NAMES = tuple(_SUITES)
+#: the order in which the parent and its workers claim suites, longest first at the default sizes: one seed
+#: takes about 20 ms for poisson, 9 for angular, 5 for avcp, 4 for evolution, 3 for kinematics and 1.5 for operators
+#: on one core of a 2-CPU Xeon host
+_LONGEST_FIRST = ("poisson", "angular", "avcp", "evolution", "kinematics", "operators")
+
+
+def _suite_checks(name: str, seed: int, alpha: float, levels: int, dims) -> list[dict]:
+    """One suite's checks, each tagged with the suite; an AvcpError becomes the one check `<suite>_suite`."""
+    try:
+        checks = list(_SUITES[name](seed, alpha, levels, dims))
+    except AvcpError as exc:
+        checks = [_error_check(f"{name}_suite", exc)]
+    for c in checks:
+        c["suite"] = name
+    return checks
+
+
+def _native_threads() -> int:
+    """Threads this process runs, native ones such as a BLAS thread pool too where /proc lists them."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
+
+
+def _processes(suites: int) -> int:
+    """How many processes share out `suites` suites: the usable CPUs over the threads this process runs.
+
+    A forked worker starts a BLAS pool as large as this process's, so each
+    process gets as many CPUs as it runs threads: two processes with two-thread
+    OpenBLAS pools on two CPUs took up to 0.8 s a seed instead of 0.05 s.  numpy's
+    OpenBLAS starts a thread per CPU unless OPENBLAS_NUM_THREADS is set before
+    numpy is imported, so without that pin this is one process.  A Python
+    thread besides this one means no fork at all, since a fork copies the
+    locks that thread holds.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus // _native_threads(), suites))
+
+
+def _run_claimed(claims: int, args: tuple) -> dict:
+    """Run every suite claimed from the pipe `claims` until it is empty: {name: checks} for each that returned."""
+    results = {}
+    while claim := os.read(claims, 1):
+        name = SUITE_NAMES[claim[0]]
+        try:
+            results[name] = _suite_checks(name, *args)
+        except Exception:  # left out, so that the suite runs again in the caller's loop and raises there
+            pass
+    return results
+
+
+def _run_with_workers(names: list[str], workers: int, args: tuple) -> dict:
+    """Run `names` in this process and `workers` forked ones, each claiming the next suite, longest first.
+
+    Returns {name: checks} for the suites that returned.  A suite that raised
+    is missing, and so are the suites of a worker that died or whose result
+    does not unpickle.
+    """
+    claims, feed = os.pipe()
+    os.write(feed, bytes(SUITE_NAMES.index(n) for n in sorted(names, key=_LONGEST_FIRST.index)))
+    os.close(feed)
+    children = []  # (pid, read end of the worker's result pipe)
+    try:
+        for _ in range(workers):
+            out, into = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no room for another process: the rest runs here
+                os.close(out)
+                os.close(into)
+                break
+            if pid == 0:
+                try:  # a worker never returns into the caller's code
+                    for fd in (out, *(other for _, other in children)):
+                        os.close(fd)
+                    with os.fdopen(into, "wb") as fh:
+                        pickle.dump(_run_claimed(claims, args), fh)
+                finally:
+                    os._exit(0)
+            os.close(into)
+            children.append((pid, out))
+        results = _run_claimed(claims, args)
+        for _, out in children:
+            try:
+                with os.fdopen(out, "rb", closefd=False) as fh:
+                    results.update(pickle.load(fh))
+            except Exception:  # a worker that died sent nothing or a torn result; its suites run again here
+                pass
+        return results
+    finally:
+        os.close(claims)
+        for _, out in children:
+            os.close(out)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
 
 
 def run_suite(
@@ -417,22 +515,24 @@ def run_suite(
     dims: tuple[int, int] = (2, 12),
     extra_bindings: dict | None = None,
 ) -> dict:
-    """Run one suite (or `all`) and return a JSON-ready report."""
+    """Run one suite (or `all`) and return a JSON-ready report.
+
+    With more than one suite and CPUs to spare (see `_processes`), the suites
+    run in forked worker processes as well as this one; each suite seeds its
+    own generator, so the report is the same as when they all run here.
+    """
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; options: all, {', '.join(SUITE_NAMES)}")
     require_alpha(alpha)
     names = list(SUITE_NAMES) if suite == "all" else [suite]
     # a malformed bindings file fails before any suite runs; its row still comes last
     bindings_check = None if extra_bindings is None else _validate_bindings(extra_bindings)
+    args = (seed, alpha, levels, dims)
+    processes = _processes(len(names))
+    done = _run_with_workers(names, processes - 1, args) if processes > 1 else {}
     checks: list[dict] = []
-    for name in names:
-        try:
-            suite_checks = list(_SUITES[name](seed, alpha, levels, dims))
-        except AvcpError as exc:
-            suite_checks = [_error_check(f"{name}_suite", exc)]
-        for c in suite_checks:
-            c["suite"] = name
-        checks.extend(suite_checks)
+    for name in names:  # a suite with no result (the serial path) runs here, in report order
+        checks.extend(done[name] if name in done else _suite_checks(name, *args))
     if bindings_check is not None:
         checks.append(bindings_check)
     return {

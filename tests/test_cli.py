@@ -663,13 +663,20 @@ def test_out_of_range_trials_and_seed_options_exit_one_naming_the_flag(tmp_path,
         (("evolve", "--state", "state.json", "--schedule", "schedule.json", "--steps", "0"),
          "--steps must be at least 1, got 0"),
         (("experiment", "spec.json", "--trials", "0"), "--trials must be at least 1, got 0"),
+        # build_fock needs 2 levels; below that the kinematics suite once ran on 2 and echoed the value given
+        (("verify", "kinematics", "--levels", "-3"), "--levels must be at least 2, got -3"),
+        (("verify", "all", "--levels", "1"), "--levels must be at least 2, got 1"),
+        (("kinematics", "verify", "--levels", "0"), "--levels must be at least 2, got 0"),
+        (("poisson", "check", "--levels", "1"), "--levels must be at least 2, got 1"),
+        (("poisson", "counterexample", "--levels", "-3"), "--levels must be at least 2, got -3"),
     ],
     ids=["demo_trials", "demo_seed", "unread_demo_trials", "verify_seed", "kinematics_seed", "angular_seed",
-         "evolve_steps", "experiment_trials"],
+         "evolve_steps", "experiment_trials", "verify_levels", "verify_all_levels", "kinematics_levels",
+         "poisson_levels", "counterexample_levels"],
 )
 def test_an_out_of_range_count_flag_exits_one_naming_it_before_any_work(args, message, tmp_path, monkeypatch, capsys):
     for module, name in ((verify_mod, "run_suite"), (demo_mod, "run_demo"), (avcp.cli, "evolve"),
-                         (avcp.cli, "run_trials")):
+                         (avcp.cli, "run_trials"), (avcp.cli, "build_fock")):
         monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} reached"))
     (tmp_path / "state.json").write_text(json.dumps({"dim": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]}))
     (tmp_path / "schedule.json").write_text(json.dumps([{"t0": 0.0, "t1": 1.0, "operator": matrix_to_dict(SY)}]))

@@ -556,6 +556,13 @@ def test_factor_dims_that_are_not_a_list_raise_type_error(value):
         QuantumState([0.6, 0.8], value)
 
 
+@pytest.mark.parametrize("factor_dims, got", [([-1, -3], -1), ([3, 0], 0)], ids=["negative", "zero"])
+def test_a_non_positive_factor_dim_is_named_by_the_whole_number_bound(factor_dims, got):
+    # [-1, -3] does multiply to 3, so a product test alone would misreport it
+    with pytest.raises(ValueError, match=re.escape(f"factor_dims must be at least 1, got {got}")):
+        state_from_dict({"dim": 3, "re": [1, 0, 0], "factor_dims": factor_dims})
+
+
 def test_embed_operator_reads_factor_dims_through_the_whole_number_rule():
     with pytest.raises(ValueError, match="^factor_dims must be a whole number, got 2.5$"):
         embed_operator(HermitianOperator(SX), [2, 2.5], 0)
