@@ -20,16 +20,8 @@ import json
 import os
 import sys
 
-from . import demos as demo_mod
-from . import expressions as ex
-from . import verify as verify_mod
+# each handler imports the modules it runs, so a command loads no module it does not use
 from .errors import AvcpError, NonSimpleExpression, NonSimpleInput
-from .evolution import DEFAULT_STEPS, HamiltonianSchedule, evolve
-from .experiments import ExperimentSpec, run_trials
-from .expressions import BindingSet
-from .kinematics import build_fock
-from .operators import operator_to_dict, state_from_dict, state_to_dict, whole_number
-from .poisson import check_dirac_rule, counterexample_report, parse_canonical
 
 #: the spec of every shared option; each subcommand names the ones it reads
 _OPTIONS = {
@@ -106,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "evolve", "evolve a state along a Hamiltonian schedule", _evolve, ("alpha",))
     p.add_argument("--state", required=True)
     p.add_argument("--schedule", required=True)
-    p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
+    p.add_argument("--steps", type=int, default=None)  # unset: evolution.DEFAULT_STEPS
 
     for suite, summary in (("kinematics", "position/momentum representation checks"),
                            ("angular", "angular momentum checks")):
@@ -128,6 +120,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return 0 if exc.code in (0, None) else 1
+    from .operators import whole_number  # after parse_args: a usage error or --help loads no numpy
+
     try:
         for flag, least in (("trials", 1), ("seed", 0), ("steps", 1), ("levels", 2)):  # each count flag it has
             if getattr(args, flag, None) is not None:  # None: experiment's unset --trials and --seed
@@ -153,12 +147,18 @@ def _non_simple(exc: AvcpError, what: str, key: str, value):
 
 
 def _quantize(args):
+    from .expressions import BindingSet, parse, quantize
+    from .operators import operator_to_dict
+
     bindings = BindingSet.from_dict(_load_json(args.bindings))
-    op = ex.quantize(ex.parse(args.expression), bindings)
+    op = quantize(parse(args.expression), bindings)
     return operator_to_dict(op), lambda: _operator_text(op.matrix), 0  # lazy: d = 256 is 65,536 entries
 
 
 def _experiment(args):
+    from .experiments import ExperimentSpec, run_trials
+    from .operators import whole_number
+
     raw = _load_json(args.spec)
     alpha = _alpha(args) if isinstance(raw, dict) and raw.get("evolution") else 1.0  # only a window reads alpha
     spec = ExperimentSpec.from_dict(raw, alpha)
@@ -170,30 +170,42 @@ def _experiment(args):
 
 def _verify(args):
     """`avcp verify`, and `avcp kinematics|angular verify` as its aliases."""
+    from .verify import render_text, run_suite
+
     extra = _load_json(args.bindings) if args.bindings else None
-    report = verify_mod.run_suite(args.suite, seed=args.seed, alpha=_alpha(args), levels=args.levels,
-                                  dims=_parse_dims(args.dims), extra_bindings=extra)
-    return report, lambda: verify_mod.render_text(report), 0 if report["passed"] else 3
+    report = run_suite(args.suite, seed=args.seed, alpha=_alpha(args), levels=args.levels,
+                       dims=_parse_dims(args.dims), extra_bindings=extra)
+    return report, lambda: render_text(report), 0 if report["passed"] else 3
 
 
 def _demo(args):
-    payload, text = demo_mod.run_demo(args.name, seed=args.seed, trials=args.trials, alpha=_alpha(args))
+    from .demos import run_demo
+
+    payload, text = run_demo(args.name, seed=args.seed, trials=args.trials, alpha=_alpha(args))
     return payload, lambda: text, 0
 
 
 def _evolve(args):
+    from .evolution import DEFAULT_STEPS, HamiltonianSchedule, evolve
+    from .operators import state_from_dict, state_to_dict
+
     state = state_from_dict(_load_json(args.state))
     sched = HamiltonianSchedule.from_dict(_load_json(args.schedule), _alpha(args))
-    return state_to_dict(evolve(state, sched, args.steps)), None, 0
+    steps = DEFAULT_STEPS if args.steps is None else args.steps
+    return state_to_dict(evolve(state, sched, steps)), None, 0
 
 
 def _poisson(args):
+    from .expressions import to_string
+    from .kinematics import build_fock
+    from .poisson import check_dirac_rule, counterexample_report, parse_canonical
+
     rep = build_fock(args.levels, _alpha(args))
     if args.action == "counterexample":
         return counterexample_report(args.gamma, rep).to_dict(), None, 0
     r = check_dirac_rule(parse_canonical(args.f), parse_canonical(args.h), rep)
     payload = {k: getattr(r, k) for k in ("residual", "scale", "tolerance", "safe_dim", "passed")}
-    payload = {"f": args.f, "h": args.h, "bracket": ex.to_string(r.bracket.to_expr()), **payload}
+    payload = {"f": args.f, "h": args.h, "bracket": to_string(r.bracket.to_expr()), **payload}
     return payload, None, 0 if r.passed else 3
 
 

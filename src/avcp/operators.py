@@ -518,8 +518,9 @@ def _array_to_dict(arr: np.ndarray) -> dict:
 
 def _array_from_dict(d: dict, ndim: int) -> np.ndarray:
     """The complex array of `d`: a state for ndim 1, a matrix for ndim 2; a missing "im" reads as zeros.
-    A negative "dim", then a "re" or "im" that is not a flat list of real numbers (TypeError), holds an integer
-    beyond the float range or has not dim (or dim^2) entries (ValueError), raises naming it."""
+    A negative "dim", then a "re" or "im" that is not a flat list of real numbers (TypeError; a boolean is not
+    one), holds an integer beyond the float range or has not dim (or dim^2) entries (ValueError), raises naming
+    it."""
     dim = whole_number(d["dim"], "dim", 0)
     shape, size = (dim,) * ndim, dim**ndim
 
@@ -535,7 +536,10 @@ def _array_from_dict(d: dict, ndim: int) -> np.ndarray:
             else:
                 if len(entries) != size:
                     raise ValueError(f"{key} must have {size} entries for dim {dim}, got {len(entries)}")
-                return np.frombuffer(entries).reshape(shape)
+                flat = np.frombuffer(entries)
+                # array.array reads true and false as 1.0 and 0.0, so only those entries can be booleans
+                if not any(type(values[i]) is bool for i in np.flatnonzero((flat == 0) | (flat == 1)).tolist()):
+                    return flat.reshape(shape)
         raise TypeError(f"{key} must be a flat list of real numbers, got {reprlib.repr(values)}")
 
     re = part("re")

@@ -56,6 +56,7 @@ from .operators import (
     state_from_dict,
     state_to_dict,
     tensor,
+    whole_number,
 )
 from .poisson import (
     CanonicalPolynomial,
@@ -266,7 +267,7 @@ def _suite_kinematics(seed: int, alpha: float, levels: int, dims) -> Iterator[di
     worst_off = 0.0
     worst_diag = 0.0
     worst_corner = 0.0
-    for n in (2, 3, 5, 8, 16, 32, max(2, levels)):
+    for n in (2, 3, 5, 8, 16, 32, levels):
         f = build_fock(n, alpha)
         d = canonical_defect(f)
         corner = d[n - 1, n - 1]
@@ -524,6 +525,7 @@ def run_suite(
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; options: all, {', '.join(SUITE_NAMES)}")
     require_alpha(alpha)
+    levels = whole_number(levels, "levels", 2)  # a Fock truncation needs two levels
     names = list(SUITE_NAMES) if suite == "all" else [suite]
     # a malformed bindings file fails before any suite runs; its row still comes last
     bindings_check = None if extra_bindings is None else _validate_bindings(extra_bindings)

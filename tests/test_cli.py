@@ -11,9 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import avcp.cli
 from avcp import demos as demo_mod
-from avcp import evolution
+from avcp import evolution, experiments, kinematics
 from avcp import expressions as ex
 from avcp import verify as verify_mod
 from avcp.cli import _build_parser, entry, main
@@ -632,7 +631,7 @@ def test_experiment_options_do_not_hide_bad_spec_values(tmp_path, capsys, flags,
     ids=["zero_trials", "negative_trials", "negative_seed", "both"],
 )
 def test_out_of_range_spec_counts_exit_one_before_any_trial(tmp_path, capsys, monkeypatch, flags, fields, message):
-    monkeypatch.setattr(avcp.cli, "run_trials", lambda *a: pytest.fail("run_trials reached"))
+    monkeypatch.setattr(experiments, "run_trials", lambda *a: pytest.fail("run_trials reached"))
     assert _experiment_run(tmp_path, capsys, *flags, **fields) == (1, "", f"error: ValueError: {message}\n")
 
 
@@ -647,7 +646,7 @@ def test_out_of_range_spec_counts_exit_one_before_any_trial(tmp_path, capsys, mo
     ids=["zero_trials", "negative_trials", "negative_seed", "both"],
 )
 def test_out_of_range_trials_and_seed_options_exit_one_naming_the_flag(tmp_path, capsys, monkeypatch, flags, message):
-    monkeypatch.setattr(avcp.cli, "run_trials", lambda *a: pytest.fail("run_trials reached"))
+    monkeypatch.setattr(experiments, "run_trials", lambda *a: pytest.fail("run_trials reached"))
     assert _experiment_run(tmp_path, capsys, *flags) == (1, "", f"error: ValueError: {message}\n")
 
 
@@ -675,8 +674,8 @@ def test_out_of_range_trials_and_seed_options_exit_one_naming_the_flag(tmp_path,
          "poisson_levels", "counterexample_levels"],
 )
 def test_an_out_of_range_count_flag_exits_one_naming_it_before_any_work(args, message, tmp_path, monkeypatch, capsys):
-    for module, name in ((verify_mod, "run_suite"), (demo_mod, "run_demo"), (avcp.cli, "evolve"),
-                         (avcp.cli, "run_trials"), (avcp.cli, "build_fock")):
+    for module, name in ((verify_mod, "run_suite"), (demo_mod, "run_demo"), (evolution, "evolve"),
+                         (experiments, "run_trials"), (kinematics, "build_fock")):
         monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} reached"))
     (tmp_path / "state.json").write_text(json.dumps({"dim": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]}))
     (tmp_path / "schedule.json").write_text(json.dumps([{"t0": 0.0, "t1": 1.0, "operator": matrix_to_dict(SY)}]))

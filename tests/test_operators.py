@@ -525,9 +525,12 @@ _WRONG_TYPE = "must be a flat list of real numbers, got"
         (operator_from_dict, {"dim": 2, "re": [[1, 0], [0, 1]]}, f"re {_WRONG_TYPE} [[1, 0], [0, 1]]"),
         (operator_from_dict, {"dim": 1, "re": [1.0], "im": {"0": 0.0}}, f"im {_WRONG_TYPE} {{'0': 0.0}}"),
         (operator_from_dict, {"dim": 4, "re": ["0"] * 16}, f"re {_WRONG_TYPE} ['0', '0', '0', '0', '0', '0', ...]"),
+        (state_from_dict, {"dim": 2, "re": [True, False]}, f"re {_WRONG_TYPE} [True, False]"),
+        (state_from_dict, {"dim": 2, "re": [0.6, 0.8], "im": [0, False]}, f"im {_WRONG_TYPE} [0, False]"),
+        (operator_from_dict, {"dim": 2, "re": [1.0, 0.5, 0.5, True]}, f"re {_WRONG_TYPE} [1.0, 0.5, 0.5, True]"),
     ],
     ids=["string", "numeric_string", "list_of_strings", "null_im", "null_entry", "ragged", "nested", "object_im",
-         "long_list_of_strings"],
+         "long_list_of_strings", "boolean_entries", "boolean_im_entry", "boolean_operator_entry"],
 )
 def test_a_re_or_im_that_is_not_a_flat_list_of_numbers_is_a_type_error_naming_it(read, doc, message):
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):

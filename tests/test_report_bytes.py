@@ -128,6 +128,7 @@ CORPUS = (
     "demo a-plus-b --seed -1",
     "verify operators --seed -1",
     "kinematics verify --seed -1",
+    "evolve --state bool_entry_d12.json --schedule pieces_d12.json",
 )
 
 
@@ -247,6 +248,9 @@ def _write_inputs(folder: Path) -> None:
     repeated = {**spec(3, small, "A*A", 100), "implementation": ["A", "A"]}
     write("repeated_name.json", repeated)
     write("repeated_name_groups.json", {**repeated, "groups": [["A"], ["A"]]})
+    bool_entry = json.loads((folder / "state_d12.json").read_text())  # one entry a JSON true, which is no real number
+    bool_entry["re"][3] = True
+    write("bool_entry_d12.json", bool_entry)
 
 
 def _run(line: str) -> tuple[int, str, str]:

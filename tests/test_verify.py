@@ -36,6 +36,28 @@ def test_a_suite_that_raises_becomes_one_error_check(monkeypatch):
     assert not got["passed"]
 
 
+@pytest.mark.parametrize(
+    "suite, levels, message",
+    [
+        ("kinematics", -3, "levels must be at least 2, got -3"),
+        ("all", 1, "levels must be at least 2, got 1"),
+        ("poisson", 2.5, "levels must be a whole number, got 2.5"),
+        ("operators", True, "levels must be a whole number, got True"),
+    ],
+    ids=["negative", "one", "fractional", "boolean"],
+)
+def test_run_suite_bounds_levels_as_the_cli_does_before_any_suite(suite, levels, message, monkeypatch):
+    monkeypatch.setattr(verify, "_suite_checks", lambda *a: pytest.fail("a suite ran"))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_suite(suite, levels=levels)
+
+
+def test_run_suite_reports_levels_as_an_int():
+    report = run_suite("kinematics", levels=24.0)
+    assert report["levels"] == 24 and type(report["levels"]) is int
+    assert report == run_suite("kinematics", levels=24)
+
+
 @pytest.mark.parametrize("levels", [16, 18])
 def test_verify_all_passes_below_the_coherent_state_floor(levels):
     # the kinematics suite builds its coherent state on at least 19 levels, where it passes the boundary gate
