@@ -15,10 +15,13 @@ experiment`, an explicit --seed or --trials wins over the spec's "seed" or
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
 import sys
+from json.decoder import JSONArray
+from json.scanner import py_make_scanner
 
 # each handler imports the modules it runs, so a command loads no module it does not use
 from .errors import AvcpError, NonSimpleExpression, NonSimpleInput
@@ -53,9 +56,46 @@ def _emit(payload, fmt: str, out: str | None, text=None) -> None:
         sys.stdout.write(body)
 
 
+#: the most characters of an array one orjson call reads: each call holds a copy of its input and a parse tree
+_CHUNK = 1 << 16
+
+
+class _Decoder(json.JSONDecoder):
+    """json's decoder, except that `loads` (orjson's) reads each flat array of numbers, in chunks cut at commas."""
+
+    def __init__(self, loads):
+        super().__init__()
+        self._loads = loads
+        self.parse_array = self._flat_array  # before the scanner is built, which reads parse_array then
+        self.scan_once = py_make_scanner(self)  # the C scanner never calls parse_array
+
+    def _flat_array(self, s_and_end, scan_once):
+        s, start = s_and_end
+        close, values = s.find("]", start), []
+        if close >= 0 and all(s.find(c, start, close) < 0 for c in '[{"'):  # commas only separate values
+            with contextlib.suppress(ValueError, TypeError):  # NaN, Infinity, 1e400, malformed text; TypeError: a null
+                while (cut := s.rfind(",", start, start + _CHUNK) if close - start > _CHUNK else close) >= 0:
+                    part = self._loads(f"[{s[start:cut]}]")
+                    # min([]) is a ValueError (a missing value); orjson reads an int beyond 64 bits as a float
+                    if min(part) <= -2**63 or max(part) >= 2**63:
+                        break
+                    values += part
+                    if cut == close:
+                        return values, close + 1
+                    start = cut + 1
+        return JSONArray(s_and_end, scan_once)  # also for a value longer than a chunk
+
+
 def _load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON value in the UTF-8 file at `path`, with `json.load`'s values and errors."""
+    import orjson
+
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    with contextlib.suppress(ValueError, RecursionError):  # json's own errors, also for nesting too deep here
+        if text.isascii():  # json's Python scanner reads a non-ASCII digit as a digit, where its C scanner stops
+            return _Decoder(orjson.loads).decode(text)
+    return json.loads(text)
 
 
 def _parse_dims(text: str) -> tuple[int, int]:

@@ -41,7 +41,7 @@ def _python(code: str, cwd=None):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-_LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('avcp', 'numpy', 'fractions')))))"
+_LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('avcp', 'numpy', 'fractions', 'orjson')))))"
 
 
 def test_import_avcp_loads_no_submodule_and_no_numpy():
@@ -50,6 +50,20 @@ def test_import_avcp_loads_no_submodule_and_no_numpy():
 
 def test_import_avcp_cli_loads_only_the_package_cli_and_errors():
     assert _python(f"import json, sys\nimport avcp.cli\n{_LOADED}") == ["avcp", "avcp.cli", "avcp.errors"]
+
+
+def test_help_and_verify_all_load_no_orjson():
+    code = """
+        import contextlib, io, json, sys
+        from avcp.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["--help"]) == 0
+            help_loaded = sorted(sys.modules)
+            assert main(["verify", "all"]) == 0
+        print(json.dumps([help_loaded, sorted(sys.modules)]))
+    """
+    for loaded in _python(code):
+        assert "orjson" not in loaded
 
 
 def _after_main(args, tmp_path) -> set[str]:
@@ -71,7 +85,7 @@ def _after_main(args, tmp_path) -> set[str]:
 
 def test_evolve_loads_no_expression_poisson_verify_or_demo_module(tmp_path):
     loaded = _after_main(["evolve", "--state", "state.json", "--schedule", "schedule.json"], tmp_path)
-    assert {"avcp.operators", "avcp.evolution"} <= loaded
+    assert {"avcp.operators", "avcp.evolution", "orjson"} <= loaded  # orjson reads the state's and schedule's arrays
     assert not loaded & {"avcp.poisson", "avcp.expressions", "avcp.verify", "avcp.demos", "fractions"}
 
 
