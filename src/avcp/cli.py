@@ -22,6 +22,7 @@ import os
 import sys
 from json.decoder import JSONArray
 from json.scanner import py_make_scanner
+from math import hypot
 
 # each handler imports the modules it runs, so a command loads no module it does not use
 from .errors import AvcpError, NonSimpleExpression, NonSimpleInput
@@ -76,8 +77,9 @@ class _Decoder(json.JSONDecoder):
             with contextlib.suppress(ValueError, TypeError):  # NaN, Infinity, 1e400, malformed text; TypeError: a null
                 while (cut := s.rfind(",", start, start + _CHUNK) if close - start > _CHUNK else close) >= 0:
                     part = self._loads(f"[{s[start:cut]}]")
-                    # min([]) is a ValueError (a missing value); orjson reads an int beyond 64 bits as a float
-                    if min(part) <= -2**63 or max(part) >= 2**63:
+                    # [] is a missing value; orjson reads an int beyond 64 bits as a float, and hypot, one C pass
+                    # over the chunk, is at least every |value|, so only a chunk it lifts to 2**63 needs min and max
+                    if not part or hypot(*part) >= 2**63 and (min(part) <= -2**63 or max(part) >= 2**63):
                         break
                     values += part
                     if cut == close:
@@ -93,7 +95,8 @@ def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     with contextlib.suppress(ValueError, RecursionError):  # json's own errors, also for nesting too deep here
-        if text.isascii():  # json's Python scanner reads a non-ASCII digit as a digit, where its C scanner stops
+        # json's Python scanner reads a non-ASCII decimal digit as a digit, where its C scanner stops
+        if text.isascii() or not any(map(str.isdecimal, text.encode().translate(None, bytes(range(128))).decode())):
             return _Decoder(orjson.loads).decode(text)
     return json.loads(text)
 

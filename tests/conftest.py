@@ -1,3 +1,5 @@
+import os
+
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -7,4 +9,6 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("ci")
+# ci with 750 examples a test instead of 40: a CI step runs the JSON reader's differential tests under it
+settings.register_profile("deep", settings.get_profile("ci"), max_examples=750)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))

@@ -6,6 +6,7 @@ null, digits other than 0-9), malformed tokens inside a chunk and on a chunk bou
 """
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -163,3 +164,71 @@ def test_input_is_read_as_utf_8_whatever_the_locale(tmp_path):
                           env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["n_trials"] == 100
+
+
+def test_a_chunk_whose_hypot_passes_2_63_below_it_still_reaches_orjson():
+    import orjson
+
+    calls = []
+    rng = random.Random(1)
+    values = [rng.choice((-1, 1)) * rng.uniform(2.9e18, 3.1e18) for _ in range(5 * _CHUNK // 48)]
+    text = json.dumps({"re": values})
+    assert _tagged(_Decoder(lambda t: calls.append(t) or orjson.loads(t)).decode(text)) == _tagged(json.loads(text))
+    assert len(calls) == 3 and all(len(c) <= _CHUNK + 2 for c in calls)  # about 24 characters an entry
+    assert all(math.hypot(*orjson.loads(c)) >= 2**63 for c in calls) and max(map(abs, values)) < 2**63
+
+
+@pytest.mark.parametrize("entries", [9, 5 * _CHUNK // 20], ids=["one_chunk", "three_chunks"])
+@pytest.mark.parametrize("big", [2**64, -(2**63) - 1])
+def test_an_integer_beyond_64_bits_mid_array_reads_as_json_s_int(tmp_path_factory, big, entries):
+    rng = random.Random(big)
+    values = [rng.uniform(-1, 1) for _ in range(entries)]
+    values[entries // 2] = big
+    _assert_same(json.dumps({"re": values}), tmp_path_factory)
+
+
+def test_floats_whose_hypot_overflows_read_exactly(tmp_path_factory):
+    rng = random.Random(2)
+    values = [rng.choice((-1, 1)) * rng.uniform(1e307, 1.7976931348623157e308) for _ in range(3 * _CHUNK // 24)]
+    assert math.hypot(*values) == math.inf
+    path = tmp_path_factory.mktemp("json") / "huge.json"
+    path.write_text(json.dumps(values))
+    assert _tagged(_load_json(path)) == _tagged(values)
+
+
+def test_a_random_d256_operator_is_read_without_min_or_max(tmp_path, monkeypatch):
+    import avcp.cli
+
+    called = []
+    for name in ("min", "max"):
+        monkeypatch.setattr(avcp.cli, name, lambda *a, name=name, **k: called.append(name), raising=False)
+    rng = random.Random(3)
+    doc = {"dim": 256, "re": [rng.gauss(0, 1) for _ in range(256**2)], "im": [rng.gauss(0, 1) for _ in range(256**2)]}
+    (tmp_path / "op.json").write_text(json.dumps(doc))
+    assert _load_json(tmp_path / "op.json") == doc
+    assert called == []
+
+
+@pytest.mark.parametrize("note, fast", [("café", True), ("α → β", True), ("٣ café", False)])
+def test_a_non_ascii_file_reaches_orjson_unless_it_holds_a_non_ascii_digit(tmp_path_factory, monkeypatch, note, fast):
+    import orjson
+
+    calls = []
+    loads = orjson.loads
+    monkeypatch.setattr(orjson, "loads", lambda text: calls.append(text) or loads(text))
+    text = json.dumps({"note": note, "dim": 4, "re": [0.25] * 16}, ensure_ascii=False)
+    _assert_same(text, tmp_path_factory)
+    assert calls == ([json.dumps([0.25] * 16)] if fast else [])
+
+
+@pytest.mark.parametrize("gap", ["", " ", "\n\t"])
+def test_an_empty_chunk_between_two_cuts_is_a_missing_value(tmp_path_factory, gap):
+    """`[1, <gap>, 2]`, spaced so that the second of its three chunks is empty: json raises `Expecting value`."""
+    import orjson
+
+    calls = []
+    text = "[1" + " " * (_CHUNK - 2) + "," + gap + "," + " " * (_CHUNK - len(gap) - 1) + "2]"
+    with pytest.raises(ValueError):
+        _Decoder(lambda t: calls.append(t) or orjson.loads(t)).decode(text)
+    assert calls[1] == f"[{gap}]"
+    _assert_same(text, tmp_path_factory)

@@ -513,6 +513,13 @@ def test_a_dict_field_of_the_wrong_size_is_named(read, doc, message):
 _WRONG_TYPE = "must be a flat list of real numbers, got"
 
 
+def _zeros_with(value, at):
+    """256**2 entries, a d = 256 operator's, all 0 but `value` at `at`."""
+    entries = [0] * 256**2
+    entries[at] = value
+    return entries
+
+
 @pytest.mark.parametrize(
     "read, doc, message",
     [
@@ -528,13 +535,22 @@ _WRONG_TYPE = "must be a flat list of real numbers, got"
         (state_from_dict, {"dim": 2, "re": [True, False]}, f"re {_WRONG_TYPE} [True, False]"),
         (state_from_dict, {"dim": 2, "re": [0.6, 0.8], "im": [0, False]}, f"im {_WRONG_TYPE} [0, False]"),
         (operator_from_dict, {"dim": 2, "re": [1.0, 0.5, 0.5, True]}, f"re {_WRONG_TYPE} [1.0, 0.5, 0.5, True]"),
+        *((operator_from_dict, {"dim": 256, "re": [0.0] * 256**2, "im": _zeros_with(True, at)},
+           f"im {_WRONG_TYPE} [{'True' if at == 0 else 0}, 0, 0, 0, 0, 0, ...]") for at in (0, 257 * 128, -1)),
     ],
     ids=["string", "numeric_string", "list_of_strings", "null_im", "null_entry", "ragged", "nested", "object_im",
-         "long_list_of_strings", "boolean_entries", "boolean_im_entry", "boolean_operator_entry"],
+         "long_list_of_strings", "boolean_entries", "boolean_im_entry", "boolean_operator_entry",
+         "first_of_zeros_boolean", "middle_of_zeros_boolean", "last_of_zeros_boolean"],
 )
 def test_a_re_or_im_that_is_not_a_flat_list_of_numbers_is_a_type_error_naming_it(read, doc, message):
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         read(doc)
+
+
+@pytest.mark.parametrize("at", [0, 257 * 128, -1], ids=["first", "middle", "last"])  # on the diagonal
+def test_integer_zero_and_one_entries_among_zeros_read_as_floats(at):
+    op = operator_from_dict({"dim": 256, "re": _zeros_with(1, at), "im": [0] * 256**2})
+    assert op.matrix.dtype == complex and np.array_equal(op.matrix.ravel(), _zeros_with(1.0, at))
 
 
 def test_an_entry_beyond_the_float_range_is_a_value_error_naming_the_field():
