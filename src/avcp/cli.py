@@ -179,7 +179,8 @@ def main(argv=None) -> int:
             payload, text, code = _non_simple(exc, "input", "failures", failures)
         _emit(payload, args.format, args.out, text)
         return code
-    except (AvcpError, OSError, KeyError, ValueError, TypeError) as exc:
+    # a RecursionError is input nested deeper than json's scanner or the expression parser can follow
+    except (AvcpError, OSError, KeyError, ValueError, TypeError, RecursionError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
 

@@ -4,24 +4,22 @@ In a time-independent background a state picks up exp(-i H dt / alpha),
 applied in H's eigenbasis by `propagate`; a time-dependent background is
 sliced, one such factor per slice, with the Hamiltonian sampled at slice
 midpoints (second-order accurate in the slice width). Consecutive slices on
-one piece of a piecewise schedule share H, so each such run is one factor
-exp(-i H k dt / alpha); the state is renormalised after each factor.
+one operator, a piece or a callable's slice, form a run, applied as one
+factor exp(-i H k dt / alpha) and renormalised.
 
-`evolve` applies a run by Lanczos, without diagonalising H, when its piece
-has dimension at least `KRYLOV_MIN_DIM` and no other run in that call, since
-an eigendecomposition would then serve one vector; a run whose Lanczos step
-bound passes d / 2 falls back to its eigenbasis. Every other run,
-`propagator`, `evolved_expectation` and the slices of a callable schedule
-move in H's eigenbasis.
+From dimension `KRYLOV_MIN_DIM` up, `evolve` applies each run by Lanczos,
+without diagonalising H, and falls back to the eigenbasis where the run's
+Lanczos step bound passes d / 2. Below it, runs and a callable's stacked
+slice blocks move in H's eigenbasis, as `propagator` and
+`evolved_expectation` always do.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,12 +44,12 @@ from .operators import (
 
 _CONTIGUITY_RTOL = 1e-12
 _NORM_DRIFT_TOL = 1e-12
-#: evolve samples and diagonalises a callable schedule's slices in blocks of at most this many slices and
-#: matrix entries; they bound only those stacks, since a piecewise schedule's runs cross block edges
+#: below KRYLOV_MIN_DIM, evolve samples and diagonalises a callable schedule's slices in blocks of at most this
+#: many slices and matrix entries
 _BLOCK_SLICES, _BLOCK_ENTRIES = 256, 2**20
-#: from this dimension up, `evolve` applies a piece's one run by Lanczos: against an eigendecomposition made
-#: for one vector, it breaks even between d = 96 and d = 128 (random H, |H| dt / alpha about 30, one BLAS thread
-#: of a 2-core x86 host)
+#: from this dimension up, `evolve` applies each run by Lanczos, a callable's slices included: against an
+#: eigendecomposition made for one vector, it breaks even between d = 96 and d = 128 (random H, |H| dt / alpha
+#: about 30, one BLAS thread of a 2-core x86 host)
 KRYLOV_MIN_DIM = 128
 #: Lanczos stops once its error estimate beta_m |[exp(-i tau T_m) e_1]_m| is at most this
 _KRYLOV_TOL = 1e-14
@@ -181,8 +179,8 @@ class HamiltonianSchedule:
 def propagate(h: HermitianOperator, dt: float, amps: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     """exp(-i H dt / alpha) applied to a vector or to the columns of a matrix, O(d^2) per vector:
     rotate into H's cached eigenbasis, one phase per eigenvalue, rotate back. The first call on H pays
-    its eigendecomposition; `evolve` applies the one run of a piece of dimension at least KRYLOV_MIN_DIM
-    by Lanczos instead, unless that run is too long for it."""
+    its eigendecomposition; from dimension KRYLOV_MIN_DIM up `evolve` applies each run by Lanczos
+    instead, unless that run is too long for it."""
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
     if dt == 0.0:
@@ -238,32 +236,31 @@ def propagator(h: HermitianOperator, dt: float, alpha: float = 1.0) -> np.ndarra
     return propagate(h, dt, np.eye(h.dim, dtype=complex), alpha)
 
 
-def _runs(sched: HamiltonianSchedule, steps: int) -> list[tuple[HermitianOperator, float]]:
-    """(piece, k dt) for each run of k consecutive midpoint slices on one piece of a piecewise schedule."""
+def _runs(sched: HamiltonianSchedule, steps: int) -> Iterator[tuple[HermitianOperator, float]]:
+    """(operator, k dt) for each run of k consecutive midpoint slices on one operator, generated lazily: a
+    callable schedule's `fn` runs at most one slice ahead of the run being yielded."""
     dt = (sched.t_end - sched.t_start) / steps
     mids = (sched.t_start + (k + 0.5) * dt for k in range(steps))
-    return [(h, sum(1 for _ in run) * dt) for h, run in groupby(map(sched.at, mids))]
+    return ((h, sum(1 for _ in run) * dt) for h, run in groupby(map(sched.at, mids)))
 
 
 def evolve(v: QuantumState, sched: HamiltonianSchedule, steps: int) -> QuantumState:
-    """Propagate across the schedule span with `steps` midpoint-sampled slices. Each run of consecutive
-    slices on one piece is one propagation: by `_lanczos` if the piece has dimension at least
-    KRYLOV_MIN_DIM and no other run in this call, else, or where Lanczos gives up, by `propagate`. A
-    callable schedule is sampled and diagonalised in blocks, so its `fn` may run up to one block ahead
-    of propagation. The state is renormalised after each propagation."""
+    """Propagate across the schedule span with `steps` midpoint-sampled slices, one propagation per run of
+    slices on one operator: by `_lanczos` from dimension KRYLOV_MIN_DIM up, where `fn` then runs at most one
+    slice ahead, else, or where Lanczos gives up, by `propagate`. Below KRYLOV_MIN_DIM a callable's slices are
+    diagonalised in blocks, `fn` up to one block ahead. The state is renormalised after each propagation."""
     steps = whole_number(steps, "steps", 1)
     span = sched.t_end - sched.t_start
     if span == 0:
         return QuantumState(v.amplitudes.copy(), v.factor_dims)
-    if sched.fn is None and sched.dim != v.dim:
-        raise DimMismatch(f"schedule dim {sched.dim} vs state dim {v.dim}")
     amps = np.array(v.amplitudes, dtype=complex)
     dt = span / steps
-    if sched.fn is None:  # every slice of a run shares one H: k slices are exp(-i H k dt / alpha)
-        runs = _runs(sched, steps)
-        count = Counter(h for h, _ in runs)
-        for h, run_dt in runs:
-            out = _lanczos(h, run_dt / sched.alpha, amps) if h.dim >= KRYLOV_MIN_DIM and count[h] == 1 else None
+    krylov = v.dim >= KRYLOV_MIN_DIM
+    if sched.fn is None or krylov:  # every slice of a run shares one H: k slices are exp(-i H k dt / alpha)
+        for h, run_dt in _runs(sched, steps):
+            if h.dim != v.dim:
+                raise DimMismatch(f"schedule dim {h.dim} vs state dim {v.dim}")
+            out = _lanczos(h, run_dt / sched.alpha, amps) if krylov else None
             amps = _renormalised(propagate(h, run_dt, amps, sched.alpha) if out is None else out)
         return QuantumState(amps, v.factor_dims)
     block = max(1, min(_BLOCK_SLICES, _BLOCK_ENTRIES // v.dim**2))

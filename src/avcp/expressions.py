@@ -618,13 +618,12 @@ def quantize(e, bindings: BindingSet) -> HermitianOperator:
     n = bindings.dim
     total = np.zeros((n, n), dtype=complex)
     for m, c in form.terms:
-        acc = np.eye(n, dtype=complex) * c
-        for name, k in m.var_powers:
-            acc = acc @ np.linalg.matrix_power(bindings.embedded(name).matrix, k)
+        factors = [np.linalg.matrix_power(bindings.embedded(name).matrix, k) for name, k in m.var_powers]
         for f, k in m.func_powers:
             op = _spectral(f.name, f.arg.variable_names(), lambda: quantize(f.arg, bindings))
-            acc = acc @ np.linalg.matrix_power(op.matrix, k)
-        total += acc
+            factors.append(np.linalg.matrix_power(op.matrix, k))
+        first, *rest = factors or [np.eye(n, dtype=complex)]  # c times the first factor: no product with I
+        total += functools.reduce(np.matmul, rest, c * first)
     return hermitian_from_matrix((total + total.conj().T) / 2)
 
 

@@ -73,6 +73,22 @@ def test_quantize_malformed_expression_exits_one(pauli_bindings_file, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command", ["evolve_state_5000_deep", "quantize_400_parentheses", "quantize_300_cos"])
+def test_input_nested_too_deep_is_one_error_line(command, pauli_bindings_file, tmp_path, capsys):
+    if command.startswith("evolve"):
+        (tmp_path / "state.json").write_text("[" * 5000 + "1" + "]" * 5000)
+        sched = HamiltonianSchedule.constant(HermitianOperator(SX), 0.0, 1.0)
+        (tmp_path / "sched.json").write_text(json.dumps(sched.to_dict()))
+        argv = ["evolve", "--state", str(tmp_path / "state.json"), "--schedule", str(tmp_path / "sched.json")]
+    else:
+        depth, opening = (400, "(") if command.endswith("parentheses") else (300, "cos(")
+        argv = ["quantize", opening * depth + "A" + ")" * depth, "--bindings", pauli_bindings_file]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: RecursionError: maximum recursion depth exceeded[^\n]*\n", err)
+
+
 @pytest.mark.parametrize("expression", ["A^1e999", "1e999*A"])
 def test_quantize_non_finite_literal_exits_one(pauli_bindings_file, capsys, expression):
     rc = main(["quantize", expression, "--bindings", pauli_bindings_file])

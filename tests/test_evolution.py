@@ -1,6 +1,10 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ import avcp.evolution
 import avcp.kinematics
 import avcp.operators
 from avcp.angular import check_frame_rotation_covariance, check_rotation_identity, spin_operators
-from avcp.errors import AvcpError, ConvergenceFailure, DimMismatch, ScheduleGap
+from avcp.errors import AvcpError, ConvergenceFailure, DimMismatch, NonFinite, ScheduleGap
 from avcp.evolution import (
     HamiltonianSchedule,
     check_ehrenfest,
@@ -634,21 +638,19 @@ def _alternating(h0, h1, runs, span=1.0):
     return HamiltonianSchedule.piecewise([(edges[i], edges[i + 1], (h0, h1)[i % 2]) for i in range(2 * runs)])
 
 
-def test_evolve_takes_lanczos_only_for_a_piece_with_one_run(monkeypatch):
+def test_evolve_takes_lanczos_for_every_run_from_d_128(monkeypatch):
     rng = make_rng(93)
     v = random_state(256, rng)
     calls = _counting(monkeypatch, avcp.operators, "eigh_stack")
     one_piece = HamiltonianSchedule.constant(random_hermitian(256, rng), 0.0, 1.0)
     assert np.abs(evolve(v, one_piece, 128).amplitudes - _expm_over_runs(v, one_piece, 128)).max() <= 1e-12
     assert len(calls) == 0
-    # each piece's eigenbasis serves all its runs, however few and short: over [0, 1e-4] each run alone
-    # would converge at step 8
+    # a piece reused on runs that are not adjacent takes Lanczos on each run, however many and short
     for runs, span in ((2, 1.0), (5, 1.0), (2, 1e-4)):
         many = _alternating(random_hermitian(256, rng), random_hermitian(256, rng), runs, span)
-        got = evolve(v, many, 128).amplitudes  # before the reference, which would cache both spectra
-        assert len(calls) == 2
-        assert got.tobytes() == _run_reference_evolve(v, many, 128).tobytes()
-        calls.clear()
+        got = evolve(v, many, 128).amplitudes
+        assert len(calls) == 0
+        assert np.abs(got - _expm_over_runs(v, many, 128)).max() <= 1e-12
     wide = HamiltonianSchedule.constant(random_hermitian(256, rng), 0.0, 1.0, 0.3)  # gives up at step 8
     assert evolve(v, wide, 128).amplitudes.tobytes() == _run_reference_evolve(v, wide, 128).tobytes()
     assert len(calls) == 1
@@ -660,7 +662,7 @@ def test_pieces_read_from_json_with_equal_operators_each_take_lanczos(monkeypatc
     op, v = operator_to_dict(random_hermitian(256, rng)), random_state(256, rng)
     sched = HamiltonianSchedule.from_dict([{"t0": 0.0, "t1": 0.5, "operator": op},
                                            {"t0": 0.5, "t1": 1.0, "operator": op}])
-    runs = avcp.evolution._runs(sched, 128)
+    runs = list(avcp.evolution._runs(sched, 128))
     assert len(runs) == 2 and runs[0][0] is not runs[1][0]
     outs, real = [], avcp.evolution._lanczos
     monkeypatch.setattr(avcp.evolution, "_lanczos", lambda *a: outs.append(real(*a)) or outs[-1])
@@ -896,6 +898,127 @@ def test_callable_may_return_a_matrix_or_an_operator():
     raw = evolve(v, HamiltonianSchedule.from_function(fn, 0.0, 1.5, 0.8), 300).amplitudes
     wrapped = evolve(v, HamiltonianSchedule.from_function(lambda t: HermitianOperator(fn(t)), 0.0, 1.5, 0.8), 300)
     assert raw.tobytes() == wrapped.amplitudes.tobytes()
+
+
+# --- a callable's slices at d >= 128: runs, each taken by Lanczos ---------------------
+
+
+def _stack_sizes(monkeypatch):
+    """The number of matrices in each `eigh_stack` call, whether evolve's blocks or a spectrum make it."""
+    sizes = []
+    for module in (avcp.evolution, avcp.operators):
+        monkeypatch.setattr(module, "eigh_stack", lambda a: sizes.append(len(a)) or eigh_stack(a))
+    return sizes
+
+
+@pytest.mark.parametrize("d", [128, 256])
+def test_a_callable_from_d_128_takes_lanczos_on_each_slice_and_builds_no_stack(d, monkeypatch):
+    v, fn = _linear_drive(d, 50 + d)
+    sched = HamiltonianSchedule.from_function(fn, -0.25, 1.0, 0.9)
+    want = _blocked_reference_evolve(v, sched, 24).amplitudes
+    sizes = _stack_sizes(monkeypatch)
+    got = evolve(v, sched, 24).amplitudes
+    assert sizes == []
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_callable_slices_that_give_up_are_bytewise_the_blocked_loop(monkeypatch):
+    # at alpha = 0.01 every d = 128 slice's step bound passes d / 2: each slice falls back to its own eigenbasis
+    v, fn = _linear_drive(128, 62)
+    sched = HamiltonianSchedule.from_function(fn, 0.0, 1.0, 0.01)
+    want = _blocked_reference_evolve(v, sched, 16).amplitudes
+    sizes = _stack_sizes(monkeypatch)
+    assert evolve(v, sched, 16).amplitudes.tobytes() == want.tobytes()
+    assert sizes == [1] * 16
+
+
+def test_a_callable_returning_one_operator_for_consecutive_slices_gives_one_run(monkeypatch):
+    rng = make_rng(63)
+    ha, hb, v = random_hermitian(256, rng), random_hermitian(256, rng), random_state(256, rng)
+    sched = HamiltonianSchedule.from_function(lambda t: ha if t < 0.5 else hb, 0.0, 1.0)
+    assert list(avcp.evolution._runs(sched, 16)) == [(ha, 0.5), (hb, 0.5)]
+    lanczos = _counting(monkeypatch, avcp.evolution, "_lanczos")
+    got = evolve(v, sched, 16).amplitudes
+    assert [a[0] for a in lanczos] == [ha, hb]
+    pieces = HamiltonianSchedule.piecewise([(0.0, 0.5, ha), (0.5, 1.0, hb)])
+    assert got.tobytes() == evolve(v, pieces, 16).amplitudes.tobytes()
+
+
+def test_at_most_three_slice_operators_are_alive_from_d_128():
+    """The run being propagated, the slice `groupby` looked ahead to, and the previous run's operator, which
+    evolve's loop variable holds until the next run is yielded."""
+    rng = make_rng(64)
+    h0, h1 = random_hermitian(256, rng).matrix, random_hermitian(256, rng).matrix
+    alive = weakref.WeakSet()
+    peak = 0
+
+    def fn(t):
+        nonlocal peak
+        h = _Tracked(h0 + t * h1)
+        alive.add(h)
+        peak = max(peak, len(alive))
+        return h
+
+    evolve(random_state(256, rng), HamiltonianSchedule.from_function(fn, 0.0, 1.0), 12)
+    assert peak <= 3
+
+
+def _wrong_size(m):
+    return m[:-1, :-1]
+
+
+@pytest.mark.parametrize("fault, error, message", [
+    (_skew, None, None),
+    (_non_finite, None, None),
+    (_wrong_size, DimMismatch, "schedule dim 255 vs state dim 256"),
+    # each slice becomes a HermitianOperator before its size is compared: the nan is named, not the size
+    (lambda m: _non_finite(_wrong_size(m)), NonFinite, "matrix contains non-finite entries"),
+], ids=["skew", "non_finite", "wrong_size", "wrong_size_and_nan"])
+def test_the_first_faulty_slice_from_d_128_raises_its_own_error(fault, error, message):
+    v, fn = _linear_drive(256, 65)
+    dt = 1.0 / 12
+    bad_t = (5 + 0.5) * dt
+    bad = fault(fn(bad_t))
+    later = np.eye(3)  # the slices after the first fault are at fault too, and never named
+    sched = HamiltonianSchedule.from_function(lambda t: fn(t) if t < bad_t else bad if t == bad_t else later, 0.0, 1.0)
+    if error is None:
+        with pytest.raises(AvcpError) as want:
+            HermitianOperator(bad)
+        error, message = type(want.value), str(want.value)
+    with pytest.raises(error) as got:
+        evolve(v, sched, 12)
+    assert type(got.value) is error and str(got.value) == message
+
+
+_THREAD_CASES = """
+import hashlib, sys
+import numpy as np
+from avcp.evolution import HamiltonianSchedule, evolve
+from avcp.experiments import EvolutionWindow
+from avcp.operators import make_rng, random_hermitian, random_state
+
+rng = make_rng(66)
+h0, h1, h2 = (random_hermitian(256, rng) for _ in range(3))
+v = random_state(256, rng)
+drive = HamiltonianSchedule.from_function(lambda t: h0.matrix + t * h1.matrix, 0.0, 2.0, 0.8)
+edges = np.linspace(0.0, 1.0, 5)
+reused = HamiltonianSchedule.piecewise([(edges[i], edges[i + 1], (h1, h2)[i % 2]) for i in range(4)])
+states = [evolve(v, drive, 32), evolve(v, reused, 32), *EvolutionWindow(drive, 1.0, 2.0, 16).states(v)]
+for s in states:
+    sys.stdout.write(hashlib.sha256(s.amplitudes.tobytes()).hexdigest() + "\\n")
+"""
+
+
+def test_callables_and_reused_pieces_from_d_128_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", _THREAD_CASES], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert len(outs[0].split()) == 4
+    assert outs[1] == outs[0]
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, -math.inf, math.nan, True])

@@ -381,6 +381,32 @@ def test_quantize_composite_subsystems():
     assert np.allclose(got.matrix, np.kron(SZ, SX), atol=1e-14)
 
 
+def _identity_fold_quantize(e, bindings):
+    """The earlier fold, kept as the byte reference: each monomial starts at c I and multiplies in its factors."""
+    n = bindings.dim
+    total = np.zeros((n, n), dtype=complex)
+    for m, c in expand_polynomial(e).terms:
+        acc = np.eye(n, dtype=complex) * c
+        for name, k in m.var_powers:
+            acc = acc @ np.linalg.matrix_power(bindings.embedded(name).matrix, k)
+        for f, k in m.func_powers:
+            op = expressions._spectral(f.name, f.arg.variable_names(), lambda: _identity_fold_quantize(f.arg, bindings))
+            acc = acc @ np.linalg.matrix_power(op.matrix, k)
+        total += acc
+    return hermitian_from_matrix((total + total.conj().T) / 2)
+
+
+@pytest.mark.parametrize("dim", [4, 64, 256])
+def test_quantize_is_bytewise_the_identity_fold(dim):
+    rng = make_rng(34)
+    a, b = random_commuting_family(dim, 2, rng)
+    bind = BindingSet({"A": a, "B": b, "C": random_hermitian(dim, rng)})
+    for text in ("A + B", "0.5*A*B - B^2 + cos(C) + 1.5", "A^3*B", "1 - 2*A*B*A", "exp(C)*2", "sqrt(C^2)",
+                 "cos(A)^2*B - 0.25", "3", "A*sqrt(B^2 + 1)"):
+        e = parse(text)
+        assert quantize(e, bind).matrix.tobytes() == _identity_fold_quantize(e, bind).matrix.tobytes(), text
+
+
 # --- the rejected symmetrization rule --------------------------------------------------
 
 
